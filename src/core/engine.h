@@ -190,6 +190,20 @@ Result<RunAppResult<App>> RunAnalytic(const PartitionedGraph* graph,
   return result;
 }
 
+/// A real engine's measured M x M link matrix in the unified form: the
+/// diagonal carries local (non-network) traffic, so it reads as zero.
+inline std::vector<double> NetworkLinkBytes(
+    const std::vector<uint64_t>& measured, uint32_t num_machines) {
+  std::vector<double> network(
+      static_cast<size_t>(num_machines) * num_machines, 0.0);
+  for (size_t i = 0; i < network.size() && i < measured.size(); ++i) {
+    if (i / num_machines != i % num_machines) {
+      network[i] = static_cast<double>(measured[i]);
+    }
+  }
+  return network;
+}
+
 template <typename App>
 Result<RunAppResult<App>> RunConcurrent(const PartitionedGraph* graph,
                                         const ReplicatedPlacement* placement,
@@ -207,19 +221,8 @@ Result<RunAppResult<App>> RunConcurrent(const PartitionedGraph* graph,
     if (executor.telemetry() != nullptr && executor.telemetry()->enabled()) {
       result.telemetry = executor.telemetry()->ToJson();
     }
-    const uint32_t n = topology->num_machines();
-    result.link_network_bytes.assign(static_cast<size_t>(n) * n, 0.0);
-    const std::vector<uint64_t>& measured = executor.stats().link_bytes;
-    for (uint32_t src = 0; src < n; ++src) {
-      for (uint32_t dst = 0; dst < n; ++dst) {
-        const size_t i = static_cast<size_t>(src) * n + dst;
-        // The runtime's diagonal carries local (non-network) traffic;
-        // the unified matrix only reports network bytes.
-        if (src != dst && i < measured.size()) {
-          result.link_network_bytes[i] = static_cast<double>(measured[i]);
-        }
-      }
-    }
+    result.link_network_bytes = NetworkLinkBytes(
+        executor.stats().link_bytes, topology->num_machines());
     result.graph = graph;
     return result;
   } else {
@@ -251,19 +254,8 @@ Result<RunAppResult<App>> RunDistributed(const PartitionedGraph* graph,
     if (executor.cluster_report().is_object()) {
       result.cluster = executor.cluster_report();
     }
-    const uint32_t n = topology->num_machines();
-    result.link_network_bytes.assign(static_cast<size_t>(n) * n, 0.0);
-    const std::vector<uint64_t>& measured = executor.stats().link_bytes;
-    for (uint32_t src = 0; src < n; ++src) {
-      for (uint32_t dst = 0; dst < n; ++dst) {
-        const size_t i = static_cast<size_t>(src) * n + dst;
-        // Same convention as the concurrent engine: the diagonal is local
-        // traffic, the unified matrix reports network bytes only.
-        if (src != dst && i < measured.size()) {
-          result.link_network_bytes[i] = static_cast<double>(measured[i]);
-        }
-      }
-    }
+    result.link_network_bytes = NetworkLinkBytes(
+        executor.stats().link_bytes, topology->num_machines());
     result.graph = graph;
     return result;
   } else {
@@ -378,8 +370,7 @@ inline Status EngineOptions::Validate() const {
 ///   SURFER_ASSIGN_OR_RETURN(auto service, engine.Serve(serve_options));
 ///
 /// The Engine does not own the graph/placement/topology (they typically live
-/// in a SurferEngine); it owns only the validated options. The free-function
-/// RunApp overloads in core/run_app.h are deprecated shims over this class.
+/// in a SurferEngine); it owns only the validated options.
 class Engine {
  public:
   /// Opens a session. Fails with InvalidArgument when any pointer is null or

@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "propagation/app_traits.h"
 #include "propagation/config.h"
+#include "propagation/partition_kernel.h"
 #include "runtime/combine_plan.h"
 #include "runtime/fault.h"
 #include "runtime/report.h"
@@ -101,20 +102,50 @@ struct DistributedOptions {
 
 namespace detail {
 
+/// The RuntimeStats view of a worker's (or the cluster's summed) counters.
+/// Engine-level fields — worker and machine counts, failures, barrier
+/// generations, current RSS — are the caller's to fill.
+inline runtime::RuntimeStats ToRuntimeStats(const WorkerStatsMsg& counters) {
+  runtime::RuntimeStats stats;
+  stats.tasks_executed = counters.tasks_executed;
+  stats.tasks_reexecuted = counters.tasks_reexecuted;
+  stats.messages_sent = counters.messages_sent;
+  stats.buffers_sent = counters.buffers_sent;
+  stats.wire_batches_sent = counters.wire_batches_sent;
+  stats.wire_segments_sent = counters.wire_segments_sent;
+  stats.wire_payload_bytes = counters.wire_payload_bytes;
+  stats.wire_messages_combined = counters.wire_messages_combined;
+  stats.wire_flush_size = counters.wire_flush_size;
+  stats.wire_flush_deadline = counters.wire_flush_deadline;
+  stats.wire_flush_stage_end = counters.wire_flush_stage_end;
+  stats.pool_buffers_acquired = counters.pool_buffers_acquired;
+  stats.pool_buffers_reused = counters.pool_buffers_reused;
+  stats.refetch_bytes = counters.refetch_bytes;
+  stats.tcp_bytes_sent = counters.tcp_bytes_sent;
+  stats.tcp_frames_sent = counters.tcp_frames_sent;
+  stats.resend_bytes = counters.resend_bytes;
+  stats.replication_bytes = counters.replication_bytes;
+  stats.combine_messages_scattered = counters.combine_messages_scattered;
+  stats.frontier_vertices_skipped = counters.frontier_vertices_skipped;
+  stats.combine_scatter_seconds =
+      static_cast<double>(counters.combine_scatter_micros) / 1e6;
+  stats.link_bytes = counters.link_bytes;
+  stats.peak_rss_bytes = counters.peak_rss_bytes;
+  return stats;
+}
+
 /// The worker-process side of the distributed engine: hosts the machines
 /// m % P == proc, executes their rounds as directed by the coordinator, and
 /// exchanges WireBatch data frames with the other workers over the TCP mesh.
 ///
-/// Bit-identity argument (the same one the threaded RuntimeExecutor makes):
-/// exactly one machine produces a given (src partition -> dst partition)
-/// stream per stage, each TCP connection is FIFO and drained by one receiver
-/// thread into a FIFO mailbox, so chunks of a stream reach the destination
-/// inbox in emission order; the combine side stable-sorts chunks by src
-/// partition, concatenates, and stable-sorts records by target — exactly the
-/// sequential inbox. Recovery preserves the argument because replayed
-/// retained segments keep their original src machine and relative order, and
-/// re-executed transfer tasks go back through a WireStager (identical merge
-/// sequence) against *iteration-start* states (see next_states_ below).
+/// Bit-identity argument: the per-partition work is the shared
+/// PartitionKernel, whose header gives the ordering argument. Its FIFO-link
+/// premise holds here because each TCP connection is FIFO and drained by one
+/// receiver thread into a FIFO mailbox. Recovery preserves the argument
+/// because replayed retained segments keep their original src machine and
+/// relative order, and re-executed transfer tasks go back through a
+/// WireStager (identical merge sequence) against *iteration-start* states
+/// (see next_states_ below).
 template <typename App>
   requires DistributableApp<App>
 class DistributedWorker {
@@ -176,15 +207,10 @@ class DistributedWorker {
   }
 
  private:
-  /// One deserialized wire segment waiting in a partition's inbox; mirrors
-  /// the threaded executor's chunk (src machine kept for refetch pricing).
-  struct InboxChunk {
-    PartitionId src = kInvalidPartition;
-    MachineId src_machine = kInvalidMachine;
-    uint64_t priced_bytes = 0;
-    std::vector<std::pair<VertexId, Message>> real;
-    std::vector<std::pair<uint64_t, Message>> virtuals;
-  };
+  using Kernel = PartitionKernel<App>;
+  using InboxChunk = typename Kernel::InboxChunk;
+
+  Kernel kernel() const { return Kernel(app_, *graph_); }
 
   static double NowUnixUs() {
     return static_cast<double>(
@@ -246,12 +272,7 @@ class DistributedWorker {
                                 num_machines_, wire_combine_));
     }
 
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
+    states_ = kernel().InitStates();
     // Deferred-commit double buffer: transfer tasks (including recovery
     // re-execution, which can run *after* some combines of the same
     // iteration) always read states_, the value set at iteration start;
@@ -262,7 +283,8 @@ class DistributedWorker {
     state_version_.assign(num_partitions_, -1);
     inboxes_.assign(num_partitions_, {});
     stage_tasks_done_.assign(num_machines_, 0);
-    link_bytes_.assign(static_cast<size_t>(num_machines_) * num_machines_, 0);
+    counters_.link_bytes.assign(
+        static_cast<size_t>(num_machines_) * num_machines_, 0);
 
     telemetry_ = std::make_unique<obs::TelemetryRecorder>(options_.telemetry);
     if (options_.telemetry.enabled) {
@@ -365,9 +387,9 @@ class DistributedWorker {
           RunCombineTask(p, m, round);
         }
         ++stage_tasks_done_[m];
-        ++tasks_executed_;
+        ++counters_.tasks_executed;
         if (round.recovery != 0) {
-          ++tasks_reexecuted_;
+          ++counters_.tasks_reexecuted;
         }
         SendTaskDone(p, m, round);
         if (round.kind == RoundKind::kTransfer) {
@@ -408,8 +430,8 @@ class DistributedWorker {
           continue;
         }
         ReexecTransfer(q, m, round);
-        ++tasks_executed_;
-        ++tasks_reexecuted_;
+        ++counters_.tasks_executed;
+        ++counters_.tasks_reexecuted;
         SendTaskDone(q, m, round);
         PumpMailbox();
       }
@@ -474,7 +496,7 @@ class DistributedWorker {
     hb.unix_us = static_cast<uint64_t>(now);
     if (transport_.SendControl(FrameType::kHeartbeat, EncodeHeartbeat(hb))
             .ok()) {
-      ++heartbeats_sent_;
+      ++counters_.heartbeats_sent;
     }
   }
 
@@ -499,12 +521,13 @@ class DistributedWorker {
   /// replay in fault-tolerant runs; resend traffic is booked separately.
   double ShipBatch(runtime::WireBatch&& batch, bool resend, bool retain) {
     if (!resend) {
-      link_bytes_[static_cast<size_t>(batch.src_machine) * num_machines_ +
-                  batch.dst_machine] += batch.priced_bytes;
-      messages_sent_ += batch.num_messages;
-      ++buffers_sent_;
+      counters_.link_bytes[static_cast<size_t>(batch.src_machine) *
+                               num_machines_ +
+                           batch.dst_machine] += batch.priced_bytes;
+      counters_.messages_sent += batch.num_messages;
+      ++counters_.buffers_sent;
     } else {
-      resend_bytes_ += batch.payload.size();
+      counters_.resend_bytes += batch.payload.size();
     }
     if (retain && fault_tolerant_) {
       retained_.push_back(batch);  // deep copy; replayed if a holder dies
@@ -520,41 +543,17 @@ class DistributedWorker {
     return 0.0;
   }
 
+  /// Decodes a batch into the inboxes. The bytes may come from a peer
+  /// process, so a malformed batch is a protocol failure.
   void ApplyBatch(const runtime::WireBatch& batch) {
     runtime::WireBatchReader<Message> reader(batch);
-    for (;;) {
-      // Decode into a recycled chunk's record vectors (capacity kept):
-      // steady-state unpacking allocates nothing. The worker loop is
-      // single-threaded, so the pool needs no locking.
-      InboxChunk chunk;
-      if (!chunk_pool_.empty()) {
-        chunk = std::move(chunk_pool_.back());
-        chunk_pool_.pop_back();
-      }
-      typename runtime::WireBatchReader<Message>::Segment segment;
-      segment.real = std::move(chunk.real);
-      segment.virtuals = std::move(chunk.virtuals);
-      const bool decoded = reader.NextInto(segment);
-      chunk.real = std::move(segment.real);
-      chunk.virtuals = std::move(segment.virtuals);
-      if (!decoded) {
-        if (chunk_pool_.size() < kChunkPoolCap) {
-          chunk_pool_.push_back(std::move(chunk));
-        }
-        break;
-      }
-      if (segment.header.dst_partition >= num_partitions_) {
-        chunk.real.clear();
-        chunk.virtuals.clear();
-        if (chunk_pool_.size() < kChunkPoolCap) {
-          chunk_pool_.push_back(std::move(chunk));
-        }
-        continue;
-      }
-      chunk.src = segment.header.src_partition;
-      chunk.src_machine = batch.src_machine;
-      chunk.priced_bytes = segment.header.priced_bytes;
-      inboxes_[segment.header.dst_partition].push_back(std::move(chunk));
+    const Status status = kernel().Decode(
+        reader, batch.src_machine, chunk_pool_,
+        [&](PartitionId dst, InboxChunk&& chunk) {
+          inboxes_[dst].push_back(std::move(chunk));
+        });
+    if (!status.ok()) {
+      Die();
     }
   }
 
@@ -573,131 +572,38 @@ class DistributedWorker {
   // -------------------------------------------------------------- task logic
 
   void RunTransferTask(PartitionId p, MachineId m, const RoundMsg& round) {
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(p);
-    std::vector<std::vector<std::pair<VertexId, Message>>> real_out(
-        num_partitions_);
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_out(
-        num_partitions_);
-    PropagationEmitter<Message> emitter;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-      emitter.Drain(
-          [&](VertexId target, Message message) {
-            real_out[graph_->PartitionOf(target)].emplace_back(
-                target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            virtual_out[target % num_partitions_].emplace_back(
-                target, std::move(message));
-          });
-    }
-    runtime::WireStager<App>& stager = stagers_.at(m);
-    for (PartitionId dst = 0; dst < num_partitions_; ++dst) {
-      if (real_out[dst].empty() && virtual_out[dst].empty()) {
-        continue;
-      }
-      stager.StageTask(p, dst, round.route[dst], real_out[dst],
-                       virtual_out[dst], [&](runtime::WireBatch&& batch) {
-                         return ShipBatch(std::move(batch), /*resend=*/false,
-                                          /*retain=*/true);
-                       });
-    }
+    kernel().RunTransfer(p, states_, streams_);
+    stagers_.at(m).StageStreams(
+        p, streams_, [&](PartitionId dst) { return round.route[dst]; },
+        [&](runtime::WireBatch&& batch) {
+          return ShipBatch(std::move(batch), /*resend=*/false,
+                           /*retain=*/true);
+        });
   }
 
   void RunCombineTask(PartitionId p, MachineId m, const RoundMsg& round) {
-    const Graph& g = graph_->encoded_graph();
+    const Kernel kernel = this->kernel();
     const PartitionMeta& meta = graph_->partition(p);
-    std::vector<InboxChunk>& chunks = inboxes_[p];
-    std::stable_sort(chunks.begin(), chunks.end(),
-                     [](const InboxChunk& a, const InboxChunk& b) {
-                       return a.src < b.src;
-                     });
-    if (m != replicas_[p][0]) {
-      // Appendix-B recovery pricing: a non-primary executor re-fetches the
-      // message spills the primary had already received.
-      for (const InboxChunk& chunk : chunks) {
-        if (chunk.src_machine != m) {
-          refetch_bytes_ += chunk.priced_bytes;
-        }
-      }
-    }
-    // Sort-free regroup (runtime/combine_plan.h): counting scatter over the
-    // src-sorted chunk concatenation reproduces the legacy per-message
-    // stable_sort's permutation byte for byte.
-    const auto scatter_start = std::chrono::steady_clock::now();
-    std::vector<Message> grouped;
-    const uint64_t scattered = runtime::GroupChunkedMessages(
-        combine_scratch_, meta.begin, meta.end, chunks, grouped);
-    std::vector<std::pair<uint64_t, Message>> virtual_messages;
-    for (InboxChunk& chunk : chunks) {
-      std::move(chunk.virtuals.begin(), chunk.virtuals.end(),
-                std::back_inserter(virtual_messages));
-    }
-    combine_scatter_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scatter_start)
-            .count();
-    combine_messages_scattered_ += scattered;
-    // Park consumed chunks on the freelist (capacity kept) instead of the
-    // legacy clear + shrink_to_fit churn.
-    for (InboxChunk& chunk : chunks) {
-      if (chunk_pool_.size() >= kChunkPoolCap) {
-        break;
-      }
-      chunk.real.clear();
-      chunk.virtuals.clear();
-      chunk_pool_.push_back(std::move(chunk));
-    }
-    chunks.clear();
+    const auto inbox = kernel.Regroup(p, m, replicas_[p][0], combine_scratch_,
+                                      inboxes_[p], chunk_pool_, combine_);
+    counters_.refetch_bytes += inbox.refetch_bytes;
+    counters_.combine_messages_scattered += inbox.scattered;
+    combine_scatter_seconds_ += inbox.scatter_seconds;
 
-    // Frontier gating: silent vertices of a SilentVertexSkippableApp skip
-    // the Combine call (identity by the app's contract) but still commit
-    // states_[v] into next_states_, which ReplicateState snapshots whole.
-    bool gate = false;
-    if constexpr (SilentVertexSkippableApp<App>) {
-      gate = config_.frontier_gating;
-    }
-    std::vector<Message> vertex_messages;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      const size_t i = static_cast<size_t>(v - meta.begin);
-      if (gate && !combine_scratch_.Received(i)) {
-        next_states_[v] = states_[v];
-        ++frontier_vertices_skipped_;
-        continue;
-      }
-      vertex_messages.clear();
-      for (size_t j = combine_scratch_.RunBegin(i),
-                  end = combine_scratch_.RunEnd(i);
-           j < end; ++j) {
-        vertex_messages.push_back(std::move(grouped[j]));
-      }
-      VertexState state = states_[v];
-      app_.Combine(v, state, g.OutNeighbors(v), vertex_messages);
-      next_states_[v] = state;
-    }
-    combine_scratch_.Reset();
+    // Combine in place on next_states_, seeded with the iteration-start
+    // states: silent vertices skipped by frontier gating keep their value,
+    // and ReplicateState snapshots the whole range.
+    std::copy(states_.begin() + meta.begin, states_.begin() + meta.end,
+              next_states_.begin() + meta.begin);
+    counters_.frontier_vertices_skipped += kernel.RunCombine(
+        p, Kernel::Gated(config_), combine_scratch_, combine_, next_states_);
     dirty_[p] = 1;
     state_version_[p] = round.iteration;
 
     std::vector<std::pair<uint64_t, VirtualOutput>> virtual_results;
-    if constexpr (VirtualVertexApp<App>) {
-      runtime::GroupVirtualMessages(vgroup_scratch_, virtual_messages,
-                                    virtual_grouped_);
-      std::vector<Message> group;
-      for (size_t i = 0; i < vgroup_scratch_.ids.size(); ++i) {
-        const uint64_t id = vgroup_scratch_.ids[i];
-        group.clear();
-        for (size_t j = vgroup_scratch_.offsets[i],
-                    end = vgroup_scratch_.offsets[i + 1];
-             j < end; ++j) {
-          group.push_back(std::move(virtual_grouped_[j]));
-        }
-        virtual_results.emplace_back(id, app_.CombineVirtual(id, group));
-      }
-      for (const auto& [id, output] : virtual_results) {
-        virtual_acc_[id] = {round.iteration, output};
-      }
+    kernel.FoldVirtuals(combine_, virtual_results);
+    for (const auto& [id, output] : virtual_results) {
+      virtual_acc_[id] = {round.iteration, output};
     }
     if (fault_tolerant_) {
       // Replicate *before* TASK_DONE: once the coordinator marks p done, a
@@ -733,7 +639,7 @@ class DistributedWorker {
     }
     for (uint32_t q : targets) {
       (void)transport_.SendPeer(q, FrameType::kStateUpdate, payload);
-      replication_bytes_ += payload.size();
+      counters_.replication_bytes += payload.size();
     }
   }
 
@@ -793,54 +699,43 @@ class DistributedWorker {
       }
       ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/false);
     };
+    auto fresh = [&](MachineId src, MachineId dst) {
+      runtime::WireBatch batch;
+      batch.src_machine = src;
+      batch.dst_machine = dst;
+      batch.payload = pool_->Acquire();
+      return batch;
+    };
     for (const runtime::WireBatch& batch : retained_) {
-      const uint8_t* base = batch.payload.data();
-      size_t offset = 0;
-      while (offset + sizeof(runtime::WireSegmentHeader) <=
-             batch.payload.size()) {
-        const auto header =
-            runtime::ReadPod<runtime::WireSegmentHeader>(base + offset);
-        const size_t record_bytes =
-            (header.kind == runtime::kWireSegmentReal ? sizeof(VertexId)
-                                                      : sizeof(uint64_t)) +
-            sizeof(Message);
-        const size_t segment_bytes = sizeof(runtime::WireSegmentHeader) +
-                                     static_cast<size_t>(header.count) *
-                                         record_bytes;
-        if (offset + segment_bytes > batch.payload.size()) {
-          break;  // malformed retention; drop the tail rather than misparse
-        }
+      runtime::WireBatchReader<Message> reader(batch);
+      typename runtime::WireBatchReader<Message>::Segment segment;
+      // Segments are copied verbatim; a malformed tail is dropped rather
+      // than misparsed.
+      for (size_t begin = 0; reader.NextInto(segment).value_or(false);
+           begin = reader.offset()) {
+        const runtime::WireSegmentHeader& header = segment.header;
         const MachineId target = header.dst_partition < round.route.size()
                                      ? round.route[header.dst_partition]
                                      : kInvalidMachine;
-        if (target != kInvalidMachine) {
-          const auto key = std::make_pair(batch.src_machine, target);
-          auto it = open.find(key);
-          if (it == open.end()) {
-            runtime::WireBatch fresh;
-            fresh.src_machine = batch.src_machine;
-            fresh.dst_machine = target;
-            fresh.payload = pool_->Acquire();
-            it = open.emplace(key, std::move(fresh)).first;
-          }
-          runtime::WireBatch& out = it->second;
-          if (!out.payload.empty() &&
-              out.payload.size() + segment_bytes >
-                  options_.wire.max_batch_bytes) {
-            runtime::WireBatch full = std::move(out);
-            out = runtime::WireBatch{};
-            out.src_machine = batch.src_machine;
-            out.dst_machine = target;
-            out.payload = pool_->Acquire();
-            ship(std::move(full));
-          }
-          out.payload.insert(out.payload.end(), base + offset,
-                             base + offset + segment_bytes);
-          out.num_segments += 1;
-          out.num_messages += header.count;
-          out.priced_bytes += header.priced_bytes;
+        if (target == kInvalidMachine) {
+          continue;
         }
-        offset += segment_bytes;
+        auto [it, inserted] =
+            open.try_emplace(std::make_pair(batch.src_machine, target));
+        if (inserted) {
+          it->second = fresh(batch.src_machine, target);
+        }
+        runtime::WireBatch& out = it->second;
+        if (!out.payload.empty() &&
+            out.payload.size() + (reader.offset() - begin) >
+                options_.wire.max_batch_bytes) {
+          ship(std::exchange(out, fresh(batch.src_machine, target)));
+        }
+        out.payload.insert(out.payload.end(), batch.payload.begin() + begin,
+                           batch.payload.begin() + reader.offset());
+        out.num_segments += 1;
+        out.num_messages += header.count;
+        out.priced_bytes += header.priced_bytes;
       }
     }
     for (auto& [key, batch] : open) {
@@ -855,25 +750,7 @@ class DistributedWorker {
   /// later death in this same iteration still finds a complete copy here.
   /// Two stagers keep rebuilt and retain-only streams in separate batches.
   void ReexecTransfer(PartitionId q, MachineId m, const RoundMsg& round) {
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(q);
-    std::vector<std::vector<std::pair<VertexId, Message>>> real_out(
-        num_partitions_);
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_out(
-        num_partitions_);
-    PropagationEmitter<Message> emitter;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-      emitter.Drain(
-          [&](VertexId target, Message message) {
-            real_out[graph_->PartitionOf(target)].emplace_back(
-                target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            virtual_out[target % num_partitions_].emplace_back(
-                target, std::move(message));
-          });
-    }
+    kernel().RunTransfer(q, states_, streams_);
     runtime::WireStager<App> send_stager(&app_, options_.wire, pool_.get(), m,
                                          num_machines_, wire_combine_);
     runtime::WireStager<App> retain_stager(&app_, options_.wire, pool_.get(),
@@ -887,16 +764,17 @@ class DistributedWorker {
       return 0.0;
     };
     for (PartitionId dst = 0; dst < num_partitions_; ++dst) {
-      if (real_out[dst].empty() && virtual_out[dst].empty()) {
+      auto& real = streams_.real[dst];
+      auto& virtuals = streams_.virtuals[dst];
+      if (real.empty() && virtuals.empty()) {
         continue;
       }
       const MachineId target = round.route[dst];
       if (target != kInvalidMachine) {
-        send_stager.StageTask(q, dst, target, real_out[dst], virtual_out[dst],
-                              send);
+        send_stager.StageTask(q, dst, target, real, virtuals, send);
       } else {
-        retain_stager.StageTask(q, dst, replicas_[dst][0], real_out[dst],
-                                virtual_out[dst], retain_only);
+        retain_stager.StageTask(q, dst, replicas_[dst][0], real, virtuals,
+                                retain_only);
       }
     }
     send_stager.FlushAll(send);
@@ -996,37 +874,26 @@ class DistributedWorker {
     }
   }
 
-  WorkerStatsMsg BuildStatsMsg() {
-    WorkerStatsMsg stats;
-    stats.tasks_executed = tasks_executed_;
-    stats.tasks_reexecuted = tasks_reexecuted_;
-    stats.messages_sent = messages_sent_;
-    stats.buffers_sent = buffers_sent_;
+  /// This worker's counters, without the per-link records (draining those
+  /// is BuildStatsMsg's job, done once at finalize).
+  WorkerStatsMsg Counters() const {
+    WorkerStatsMsg stats = counters_;
     for (const auto& [m, stager] : stagers_) {
-      const runtime::WireStagerStats& ws = stager.stats();
-      stats.wire_batches_sent += ws.batches_sealed;
-      stats.wire_segments_sent += ws.segments_sealed;
-      stats.wire_payload_bytes += ws.payload_bytes;
-      stats.wire_messages_combined += ws.messages_combined;
-      stats.wire_flush_size += ws.flush_size;
-      stats.wire_flush_deadline += ws.flush_deadline;
-      stats.wire_flush_stage_end += ws.flush_stage_end;
+      runtime::AccumulateStagerStats(stager.stats(), stats);
     }
     const runtime::WireBufferPool::Stats pool = pool_->stats();
     stats.pool_buffers_acquired = pool.acquires;
     stats.pool_buffers_reused = pool.reuses;
-    stats.refetch_bytes = refetch_bytes_;
     stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
     stats.tcp_frames_sent = transport_.tcp_frames_sent();
-    stats.resend_bytes = resend_bytes_;
-    stats.replication_bytes = replication_bytes_;
-    stats.combine_messages_scattered = combine_messages_scattered_;
-    stats.frontier_vertices_skipped = frontier_vertices_skipped_;
     stats.combine_scatter_micros =
         static_cast<uint64_t>(combine_scatter_seconds_ * 1e6);
     stats.peak_rss_bytes = obs::ReadMemoryUsage().peak_rss_bytes;
-    stats.link_bytes = link_bytes_;
-    stats.heartbeats_sent = heartbeats_sent_;
+    return stats;
+  }
+
+  WorkerStatsMsg BuildStatsMsg() {
+    WorkerStatsMsg stats = Counters();
     stats.clock_synced = transport_.clock_synced() ? 1 : 0;
     stats.clock_offset_us = transport_.ClockOffsets();
     stats.clock_uncertainty_us = transport_.ClockUncertainties();
@@ -1044,43 +911,18 @@ class DistributedWorker {
   }
 
   runtime::RuntimeStats LocalStats() {
-    runtime::RuntimeStats stats;
+    runtime::RuntimeStats stats = ToRuntimeStats(Counters());
     stats.num_workers = static_cast<uint32_t>(hosted_.size());
     stats.num_machines = num_machines_;
     stats.num_processes = num_procs_;
     stats.iterations = config_.iterations;
-    stats.tasks_executed = tasks_executed_;
-    stats.tasks_reexecuted = tasks_reexecuted_;
-    stats.messages_sent = messages_sent_;
-    stats.buffers_sent = buffers_sent_;
-    for (const auto& [m, stager] : stagers_) {
-      const runtime::WireStagerStats& ws = stager.stats();
-      stats.wire_batches_sent += ws.batches_sealed;
-      stats.wire_segments_sent += ws.segments_sealed;
-      stats.wire_payload_bytes += ws.payload_bytes;
-      stats.wire_messages_combined += ws.messages_combined;
-      stats.wire_flush_size += ws.flush_size;
-      stats.wire_flush_deadline += ws.flush_deadline;
-      stats.wire_flush_stage_end += ws.flush_stage_end;
-      stats.batch_fill.Merge(ws.batch_fill);
-    }
-    const runtime::WireBufferPool::Stats pool = pool_->stats();
-    stats.pool_buffers_acquired = pool.acquires;
-    stats.pool_buffers_reused = pool.reuses;
-    stats.refetch_bytes = refetch_bytes_;
-    stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
-    stats.tcp_frames_sent = transport_.tcp_frames_sent();
-    stats.resend_bytes = resend_bytes_;
-    stats.replication_bytes = replication_bytes_;
-    stats.combine_messages_scattered = combine_messages_scattered_;
-    stats.frontier_vertices_skipped = frontier_vertices_skipped_;
     stats.combine_scatter_seconds = combine_scatter_seconds_;
-    stats.link_bytes = link_bytes_;
+    for (const auto& [m, stager] : stagers_) {
+      stats.batch_fill.Merge(stager.stats().batch_fill);
+    }
     stats.telemetry_samples = telemetry_->samples_taken();
     stats.telemetry_samples_dropped = telemetry_->total_dropped();
-    const obs::MemoryUsage memory = obs::ReadMemoryUsage();
-    stats.rss_bytes = memory.rss_bytes;
-    stats.peak_rss_bytes = memory.peak_rss_bytes;
+    stats.rss_bytes = obs::ReadMemoryUsage().rss_bytes;
     return stats;
   }
 
@@ -1168,14 +1010,13 @@ class DistributedWorker {
   std::vector<uint8_t> dirty_;            ///< partition combined/updated
   std::vector<int32_t> state_version_;    ///< iteration of last combine, -1 none
   std::vector<std::vector<InboxChunk>> inboxes_;
-  /// Regroup scratch (runtime/combine_plan.h) and the recycled-chunk
-  /// freelist. The worker loop runs one task at a time, so one scratch of
-  /// each kind serves every hosted partition.
+  /// Kernel scratch: transfer streams, the regroup plan, combine buffers
+  /// and the recycled-chunk freelist. The worker loop runs one task at a
+  /// time, so one of each serves every hosted partition.
+  typename Kernel::Streams streams_;
   runtime::CombineScratch combine_scratch_;
-  runtime::VirtualGroupScratch vgroup_scratch_;
-  std::vector<Message> virtual_grouped_;
-  std::vector<InboxChunk> chunk_pool_;
-  static constexpr size_t kChunkPoolCap = 256;
+  typename Kernel::CombineBuffers combine_;
+  typename Kernel::ChunkPool chunk_pool_;
   /// id -> (iteration of last update, output); the coordinator-side merge
   /// keeps the max-iteration entry across processes.
   std::map<uint64_t, std::pair<int32_t, VirtualOutput>> virtual_acc_;
@@ -1193,7 +1034,6 @@ class DistributedWorker {
   /// (iteration, kind) so link stats recorded by seq can be attributed.
   uint32_t heartbeat_period_ms_ = 0;
   double last_heartbeat_us_ = 0.0;
-  uint64_t heartbeats_sent_ = 0;
   uint32_t current_stage_ = kIdleStage;
   int32_t current_iteration_ = 0;
   uint64_t current_round_seq_ = 0;
@@ -1205,17 +1045,11 @@ class DistributedWorker {
   uint32_t stall_ms_ = 0;
   bool stalled_ = false;
 
-  uint64_t tasks_executed_ = 0;
-  uint64_t tasks_reexecuted_ = 0;
-  uint64_t messages_sent_ = 0;
-  uint64_t buffers_sent_ = 0;
-  uint64_t refetch_bytes_ = 0;
-  uint64_t resend_bytes_ = 0;
-  uint64_t replication_bytes_ = 0;
-  uint64_t combine_messages_scattered_ = 0;
-  uint64_t frontier_vertices_skipped_ = 0;
+  /// Counters this worker maintains itself (tasks, sends, refetch and
+  /// resend bytes, combine counts, link matrix, heartbeats); Counters()
+  /// completes them with the stager, pool and transport figures.
+  WorkerStatsMsg counters_;
   double combine_scatter_seconds_ = 0.0;
-  std::vector<uint64_t> link_bytes_;
 
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::TelemetryRecorder> telemetry_;
@@ -1228,7 +1062,7 @@ class DistributedWorker {
 /// process per machine group, lets DistributedCoordinator drive the BSP
 /// rounds over the control plane, then assembles the version-merged final
 /// states and the cluster-wide stats. Mirrors RuntimeExecutor's public
-/// surface so core::RunApp can treat the two engines uniformly.
+/// surface so core::Engine can treat the two engines uniformly.
 template <typename App>
   requires DistributableApp<App>
 class DistributedExecutor {
@@ -1249,7 +1083,8 @@ class DistributedExecutor {
         options_(std::move(options)) {}
 
   Status Run() {
-    SURFER_RETURN_IF_ERROR(Validate());
+    SURFER_RETURN_IF_ERROR(PartitionKernel<App>::Validate(
+        graph_, placement_, topology_, config_));
     const auto wall_start = std::chrono::steady_clock::now();
     const uint32_t num_machines = topology_->num_machines();
     const uint32_t num_processes =
@@ -1311,25 +1146,6 @@ class DistributedExecutor {
   const obs::JsonValue& cluster_report() const { return cluster_report_; }
 
  private:
-  Status Validate() const {
-    if (graph_ == nullptr || placement_ == nullptr || topology_ == nullptr) {
-      return Status::InvalidArgument("executor inputs must be non-null");
-    }
-    if (placement_->num_partitions() != graph_->num_partitions()) {
-      return Status::InvalidArgument(
-          "placement partition count does not match graph");
-    }
-    if (config_.iterations < 1) {
-      return Status::InvalidArgument("iterations must be >= 1");
-    }
-    for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
-      if (placement_->primary(p) >= topology_->num_machines()) {
-        return Status::InvalidArgument("placement machine out of range");
-      }
-    }
-    return Status::OK();
-  }
-
   PlacementMsg BuildPlacementMsg(uint32_t num_machines) const {
     PlacementMsg msg;
     msg.num_machines = num_machines;
@@ -1358,12 +1174,7 @@ class DistributedExecutor {
   Status Assemble(const CoordinatorOutcome& outcome, uint32_t num_processes,
                   uint32_t num_machines) {
     // Baseline, then overlay each partition's highest-version final state.
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
+    states_ = PartitionKernel<App>(app_, *graph_).InitStates();
     std::vector<int32_t> best(graph_->num_partitions(), -1);
     for (const FinalStateMsg& msg : outcome.states) {
       if (msg.partition >= best.size() || msg.version <= best[msg.partition]) {
@@ -1412,37 +1223,13 @@ class DistributedExecutor {
       }
     }
 
-    stats_ = runtime::RuntimeStats{};
+    stats_ = detail::ToRuntimeStats(outcome.totals);
     stats_.num_workers = num_processes;
     stats_.num_machines = num_machines;
     stats_.num_processes = num_processes;
     stats_.iterations = config_.iterations;
-    const WorkerStatsMsg& totals = outcome.totals;
-    stats_.tasks_executed = totals.tasks_executed;
-    stats_.tasks_reexecuted = totals.tasks_reexecuted;
     stats_.machine_failures = outcome.machine_failures;
-    stats_.messages_sent = totals.messages_sent;
-    stats_.buffers_sent = totals.buffers_sent;
-    stats_.wire_batches_sent = totals.wire_batches_sent;
-    stats_.wire_segments_sent = totals.wire_segments_sent;
-    stats_.wire_payload_bytes = totals.wire_payload_bytes;
-    stats_.wire_messages_combined = totals.wire_messages_combined;
-    stats_.wire_flush_size = totals.wire_flush_size;
-    stats_.wire_flush_deadline = totals.wire_flush_deadline;
-    stats_.wire_flush_stage_end = totals.wire_flush_stage_end;
-    stats_.pool_buffers_acquired = totals.pool_buffers_acquired;
-    stats_.pool_buffers_reused = totals.pool_buffers_reused;
-    stats_.refetch_bytes = totals.refetch_bytes;
-    stats_.tcp_bytes_sent = totals.tcp_bytes_sent;
-    stats_.tcp_frames_sent = totals.tcp_frames_sent;
-    stats_.resend_bytes = totals.resend_bytes;
-    stats_.replication_bytes = totals.replication_bytes;
-    stats_.combine_messages_scattered = totals.combine_messages_scattered;
-    stats_.frontier_vertices_skipped = totals.frontier_vertices_skipped;
-    stats_.combine_scatter_seconds =
-        static_cast<double>(totals.combine_scatter_micros) / 1e6;
     stats_.barrier_generations = outcome.rounds;
-    stats_.link_bytes = totals.link_bytes;
     stats_.peak_rss_bytes = outcome.peak_worker_rss_bytes;
     stats_.rss_bytes = obs::ReadMemoryUsage().rss_bytes;
 

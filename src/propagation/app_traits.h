@@ -63,20 +63,6 @@ class PropagationEmitter {
     virtual_.clear();
   }
 
-  /// Move-out accessors for callers that want the raw emission vectors
-  /// (tests, batch consumers); the emitter is left empty.
-  std::vector<std::pair<VertexId, Message>> TakeReal() {
-    return std::exchange(real_, {});
-  }
-  std::vector<std::pair<uint64_t, Message>> TakeVirtuals() {
-    return std::exchange(virtual_, {});
-  }
-
-  void Clear() {
-    real_.clear();
-    virtual_.clear();
-  }
-
  private:
   std::vector<std::pair<VertexId, Message>> real_;
   std::vector<std::pair<uint64_t, Message>> virtual_;

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -22,7 +21,7 @@
 #include "propagation/app_traits.h"
 #include "propagation/cascade.h"
 #include "propagation/config.h"
-#include "runtime/combine_plan.h"
+#include "propagation/partition_kernel.h"
 #include "storage/partitioned_graph.h"
 #include "storage/replication.h"
 
@@ -80,8 +79,9 @@ class PropagationRunner {
   /// Runs on an externally owned simulation (fault-injection experiments,
   /// job composition); metrics accumulate into `sim`.
   Status RunWith(JobSimulation* sim) {
-    SURFER_RETURN_IF_ERROR(Validate());
-    InitializeStates();
+    SURFER_RETURN_IF_ERROR(
+        Kernel::Validate(graph_, placement_, topology_, config_));
+    states_ = kernel().InitStates();
     virtual_outputs_.clear();
     counters_ = PropagationCounters{};
     const uint32_t num_machines = topology_->num_machines();
@@ -135,33 +135,10 @@ class PropagationRunner {
   }
 
  private:
-  Status Validate() const {
-    if (graph_ == nullptr || placement_ == nullptr || topology_ == nullptr) {
-      return Status::InvalidArgument("runner inputs must be non-null");
-    }
-    if (placement_->num_partitions() != graph_->num_partitions()) {
-      return Status::InvalidArgument(
-          "placement partition count does not match graph");
-    }
-    if (config_.iterations < 1) {
-      return Status::InvalidArgument("iterations must be >= 1");
-    }
-    for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
-      if (placement_->primary(p) >= topology_->num_machines()) {
-        return Status::InvalidArgument("placement machine out of range");
-      }
-    }
-    return Status::OK();
-  }
+  using Kernel = PartitionKernel<App>;
+  using InboxChunk = typename Kernel::InboxChunk;
 
-  void InitializeStates() {
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
-  }
+  Kernel kernel() const { return Kernel(app_, *graph_); }
 
   /// True when this vertex's work in `iteration` is elided from disk
   /// accounting by cascaded propagation (its value for this iteration was
@@ -187,35 +164,44 @@ class PropagationRunner {
     return phase_pos >= 1 && std::min(level, c) > phase_pos;
   }
 
-  /// Per-source-partition buffers produced by the Transfer stage.
-  struct PartitionOut {
-    std::vector<std::pair<VertexId, Message>> local;
-    double inner_local_bytes = 0.0;
-    double boundary_local_bytes = 0.0;
-    std::unordered_map<PartitionId, std::vector<std::pair<VertexId, Message>>>
-        remote_list;
-    std::unordered_map<PartitionId, std::unordered_map<VertexId, Message>>
-        remote_merged;
-    std::unordered_map<PartitionId,
-                       std::vector<std::pair<uint64_t, Message>>>
-        virtual_list;
-    std::unordered_map<PartitionId, std::unordered_map<uint64_t, Message>>
-        virtual_merged;
-    double emitted_bytes = 0.0;
-    double state_read_bytes = 0.0;
-    double skipped_state_bytes = 0.0;   // cascaded elision: states
-    double skipped_record_bytes = 0.0;  // cascaded elision: adjacency records
-    uint64_t skipped_vertices = 0;
+  /// What one Transfer task hands to the Combine stage: its (src -> dst)
+  /// streams as inbox chunks indexed by destination partition (merged under
+  /// local combination, priced_bytes set), plus the bytes the task spills
+  /// into its own partition's inbox.
+  struct TransferOut {
+    std::vector<InboxChunk> chunks;
+    double self_spill_bytes = 0.0;
     PropagationCounters counters;
   };
+
+  /// A simulated task of partition p, runnable on any of its replicas.
+  SimTask MakeTask(SimTaskKind kind, PartitionId p) const {
+    SimTask task;
+    task.kind = kind;
+    task.partition = p;
+    for (MachineId m : placement_->replicas[p]) {
+      if (m != kInvalidMachine) {
+        task.candidate_machines.push_back(m);
+      }
+    }
+    return task;
+  }
+
+  double RecordBytes(const auto& records) const {
+    double bytes = 0.0;
+    for (const auto& record : records) {
+      bytes += static_cast<double>(app_.MessageBytes(record.second));
+    }
+    return bytes;
+  }
 
   Status RunIteration(JobSimulation* sim, int iteration) {
     const uint32_t num_partitions = graph_->num_partitions();
     const Graph& g = graph_->encoded_graph();
-    const bool merge_remote = config_.local_combination && MergeableApp<App>;
+    const Kernel kernel = this->kernel();
 
     // ---------------- Transfer stage ----------------
-    std::vector<PartitionOut> outs(num_partitions);
+    std::vector<TransferOut> outs(num_partitions);
     std::vector<SimTask> transfer_tasks(num_partitions);
 
     // std::optional so the wall-clock span can close right after the
@@ -226,14 +212,29 @@ class PropagationRunner {
     GlobalThreadPool().ParallelFor(num_partitions, [&](size_t pi) {
       const PartitionId p = static_cast<PartitionId>(pi);
       const PartitionMeta& meta = graph_->partition(p);
-      PartitionOut& out = outs[p];
-      PropagationEmitter<Message> emitter;
-      // With local combination on, messages to *local* targets also merge
-      // per target before they are counted (inner ones are applied in
-      // memory anyway; boundary ones spill in merged form — the same
-      // associativity argument as for remote merging).
-      std::unordered_map<VertexId, Message> local_merged;
+      TransferOut& out = outs[p];
+      typename Kernel::Streams streams;
+      kernel.RunTransfer(p, states_, streams);
 
+      double emitted_bytes = 0.0;
+      for (PartitionId dst = 0; dst < num_partitions; ++dst) {
+        emitted_bytes +=
+            RecordBytes(streams.real[dst]) + RecordBytes(streams.virtuals[dst]);
+        out.counters.messages_emitted +=
+            streams.real[dst].size() + streams.virtuals[dst].size();
+      }
+      // Local combination merges every stream per target before anything
+      // is counted or priced — local ones too: inner messages are applied
+      // in memory anyway, boundary ones spill in merged form (the same
+      // associativity argument as for remote merging).
+      if (config_.local_combination) {
+        out.counters.messages_locally_combined = kernel.MergeStreams(streams);
+      }
+
+      double state_read_bytes = 0.0;
+      double skipped_state_bytes = 0.0;   // cascaded elision: states
+      double skipped_record_bytes = 0.0;  // cascaded elision: records
+      uint64_t skipped_vertices = 0;
       for (VertexId v = meta.begin; v < meta.end; ++v) {
         const double state_bytes =
             static_cast<double>(app_.StateBytes(states_[v]));
@@ -241,208 +242,96 @@ class PropagationRunner {
           // This vertex's value for the current iteration was computed in a
           // batch during an earlier scan of the phase (Section 5.2): the
           // scan skips its adjacency record and state round-trip.
-          out.skipped_state_bytes += state_bytes;
-          out.skipped_record_bytes += static_cast<double>(
+          skipped_state_bytes += state_bytes;
+          skipped_record_bytes += static_cast<double>(
               StoredVertexRecordBytes(g.OutDegree(v)));
-          ++out.skipped_vertices;
+          ++skipped_vertices;
         }
-        out.state_read_bytes += state_bytes;
-        app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-        // Drain() resets the emitter after streaming, so the next vertex's
-        // Transfer starts from a clean slate.
-        emitter.Drain(
-            [&](VertexId target, Message message) {
-              const double bytes =
-                  static_cast<double>(app_.MessageBytes(message));
-              out.emitted_bytes += bytes;
-              ++out.counters.messages_emitted;
-              const PartitionId pt = graph_->PartitionOf(target);
-              if (pt == p) {
-                if (merge_remote) {
-                  if constexpr (MergeableApp<App>) {
-                    auto it = local_merged.find(target);
-                    if (it == local_merged.end()) {
-                      local_merged.emplace(target, std::move(message));
-                    } else {
-                      it->second = app_.Merge(it->second, message);
-                      ++out.counters.messages_locally_combined;
-                    }
-                  }
-                } else {
-                  const bool inner = meta.boundary[target - meta.begin] == 0;
-                  if (inner) {
-                    out.inner_local_bytes += bytes;
-                    if (config_.local_propagation) {
-                      ++out.counters.messages_locally_propagated;
-                    } else {
-                      ++out.counters.messages_materialized;
-                    }
-                  } else {
-                    out.boundary_local_bytes += bytes;
-                    ++out.counters.messages_materialized;
-                  }
-                  out.local.emplace_back(target, std::move(message));
-                }
-              } else if (merge_remote) {
-                if constexpr (MergeableApp<App>) {
-                  auto& bucket = out.remote_merged[pt];
-                  auto it = bucket.find(target);
-                  if (it == bucket.end()) {
-                    bucket.emplace(target, std::move(message));
-                  } else {
-                    it->second = app_.Merge(it->second, message);
-                    ++out.counters.messages_locally_combined;
-                  }
-                }
-              } else {
-                out.remote_list[pt].emplace_back(target, std::move(message));
-              }
-            },
-            [&](uint64_t target, Message message) {
-              const double bytes =
-                  static_cast<double>(app_.MessageBytes(message));
-              out.emitted_bytes += bytes;
-              ++out.counters.messages_emitted;
-              const PartitionId pt =
-                  static_cast<PartitionId>(target % num_partitions);
-              if (merge_remote) {
-                if constexpr (MergeableApp<App>) {
-                  auto& bucket = out.virtual_merged[pt];
-                  auto it = bucket.find(target);
-                  if (it == bucket.end()) {
-                    bucket.emplace(target, std::move(message));
-                  } else {
-                    it->second = app_.Merge(it->second, message);
-                    ++out.counters.messages_locally_combined;
-                  }
-                }
-              } else {
-                out.virtual_list[pt].emplace_back(target, std::move(message));
-              }
-            });
+        state_read_bytes += state_bytes;
       }
 
-      // Flush the merged local messages with post-merge byte counts.
-      if constexpr (MergeableApp<App>) {
-        for (auto& [target, message] : local_merged) {
-          const double bytes =
-              static_cast<double>(app_.MessageBytes(message));
-          if (meta.boundary[target - meta.begin] == 0) {
-            out.inner_local_bytes += bytes;
-            if (config_.local_propagation) {
-              ++out.counters.messages_locally_propagated;
-            } else {
-              ++out.counters.messages_materialized;
-            }
+      double inner_local_bytes = 0.0;
+      double boundary_local_bytes = 0.0;
+      for (const auto& [target, message] : streams.real[p]) {
+        const double bytes = static_cast<double>(app_.MessageBytes(message));
+        if (meta.boundary[target - meta.begin] == 0) {
+          inner_local_bytes += bytes;
+          if (config_.local_propagation) {
+            ++out.counters.messages_locally_propagated;
           } else {
-            out.boundary_local_bytes += bytes;
             ++out.counters.messages_materialized;
           }
-          out.local.emplace_back(target, std::move(message));
+        } else {
+          boundary_local_bytes += bytes;
+          ++out.counters.messages_materialized;
         }
-        local_merged.clear();
       }
+      out.self_spill_bytes =
+          boundary_local_bytes +
+          (config_.local_propagation ? 0.0 : inner_local_bytes);
 
       // Price the task.
-      SimTask& task = transfer_tasks[p];
-      task.kind = SimTaskKind::kTransfer;
-      task.partition = p;
-      for (MachineId m : placement_->replicas[p]) {
-        if (m != kInvalidMachine) {
-          task.candidate_machines.push_back(m);
-        }
-      }
+      SimTask& task = transfer_tasks[p] = MakeTask(SimTaskKind::kTransfer, p);
       TaskCost& cost = task.cost;
       const double effective_state_read =
-          out.state_read_bytes - out.skipped_state_bytes;
+          state_read_bytes - skipped_state_bytes;
       const double effective_record_read = std::max(
-          0.0, static_cast<double>(meta.stored_bytes) -
-                   out.skipped_record_bytes);
+          0.0, static_cast<double>(meta.stored_bytes) - skipped_record_bytes);
       cost.disk_read_bytes = effective_record_read + effective_state_read;
-      cost.cpu_bytes =
-          static_cast<double>(meta.stored_bytes) + out.emitted_bytes;
+      cost.cpu_bytes = static_cast<double>(meta.stored_bytes) + emitted_bytes;
       // Intermediate materialization: boundary-target local messages always
       // spill; inner-target ones only without local propagation; cascaded
       // elision removes the skipped vertices' share of the inner spill.
       double inner_spill =
-          config_.local_propagation ? 0.0 : out.inner_local_bytes;
+          config_.local_propagation ? 0.0 : inner_local_bytes;
       const VertexId part_vertices = meta.num_vertices();
-      if (part_vertices > 0 && out.skipped_vertices > 0) {
-        const double skip_fraction = static_cast<double>(out.skipped_vertices) /
+      if (part_vertices > 0 && skipped_vertices > 0) {
+        const double skip_fraction = static_cast<double>(skipped_vertices) /
                                      static_cast<double>(part_vertices);
         inner_spill *= (1.0 - skip_fraction);
       }
-      cost.disk_write_bytes = out.boundary_local_bytes + inner_spill;
+      cost.disk_write_bytes = boundary_local_bytes + inner_spill;
 
-      // Cross-partition traffic, merged or raw.
+      // Hand every stream to the Combine stage as one inbox chunk, pricing
+      // what the local-stream walk above did not: cross-partition records
+      // and virtual records, merged or raw. Either way the bytes spill once
+      // on this machine: as the final intermediate for a co-located
+      // destination, or as the send buffer for a remote one (which
+      // additionally pays the wire and a receive spill on the destination).
       const MachineId my_machine = placement_->primary(p);
-      auto price_destination = [&](PartitionId dst, double bytes,
-                                   uint64_t num_messages) {
-        const MachineId dst_machine = placement_->primary(dst);
-        // Either way the bytes spill once on this machine: as the final
-        // intermediate for a co-located destination, or as the send buffer
-        // for a remote one (which additionally pays the wire and a receive
-        // spill on the destination).
+      out.chunks.resize(num_partitions);
+      for (PartitionId dst = 0; dst < num_partitions; ++dst) {
+        InboxChunk& chunk = out.chunks[dst];
+        chunk.src = p;
+        chunk.src_machine = my_machine;
+        chunk.real = std::move(streams.real[dst]);
+        chunk.virtuals = std::move(streams.virtuals[dst]);
+        const bool remote = dst != p;
+        const double bytes = (remote ? RecordBytes(chunk.real) : 0.0) +
+                             RecordBytes(chunk.virtuals);
+        const uint64_t num_messages =
+            (remote ? chunk.real.size() : 0) + chunk.virtuals.size();
+        chunk.priced_bytes = static_cast<uint64_t>(bytes);
         cost.disk_write_bytes += bytes;
         out.counters.messages_materialized += num_messages;
-        if (dst_machine != my_machine) {
+        const MachineId dst_machine = placement_->primary(dst);
+        if (!remote) {
+          out.self_spill_bytes += bytes;
+        } else if (dst_machine != my_machine) {
           cost.AddNetwork(dst_machine, bytes);
           out.counters.messages_network += num_messages;
-        }
-      };
-      for (const auto& [dst, messages] : out.remote_list) {
-        double bytes = 0.0;
-        for (const auto& [target, message] : messages) {
-          (void)target;
-          bytes += static_cast<double>(app_.MessageBytes(message));
-        }
-        price_destination(dst, bytes, messages.size());
-      }
-      for (const auto& [dst, merged] : out.remote_merged) {
-        double bytes = 0.0;
-        for (const auto& [target, message] : merged) {
-          (void)target;
-          bytes += static_cast<double>(app_.MessageBytes(message));
-        }
-        price_destination(dst, bytes, merged.size());
-      }
-      for (const auto& [dst, messages] : out.virtual_list) {
-        double bytes = 0.0;
-        for (const auto& [target, message] : messages) {
-          (void)target;
-          bytes += static_cast<double>(app_.MessageBytes(message));
-        }
-        if (dst == p) {
-          cost.disk_write_bytes += bytes;
-          out.counters.messages_materialized += messages.size();
-        } else {
-          price_destination(dst, bytes, messages.size());
-        }
-      }
-      for (const auto& [dst, merged] : out.virtual_merged) {
-        double bytes = 0.0;
-        for (const auto& [target, message] : merged) {
-          (void)target;
-          bytes += static_cast<double>(app_.MessageBytes(message));
-        }
-        if (dst == p) {
-          cost.disk_write_bytes += bytes;
-          out.counters.messages_materialized += merged.size();
-        } else {
-          price_destination(dst, bytes, merged.size());
         }
       }
       if (config_.memory_limit_bytes > 0) {
         const double working_set = static_cast<double>(meta.stored_bytes) +
-                                   out.state_read_bytes +
-                                   cost.disk_write_bytes;
+                                   state_read_bytes + cost.disk_write_bytes;
         cost.random_io =
             working_set > static_cast<double>(config_.memory_limit_bytes);
       }
     });
 
     transfer_span.reset();
-    for (const PartitionOut& out : outs) {
+    for (const TransferOut& out : outs) {
       counters_.MergeFrom(out.counters);
     }
     // Fold each task's priced sends into the per-link byte matrix before the
@@ -461,71 +350,6 @@ class PropagationRunner {
                       std::move(transfer_tasks))
             .status());
 
-    // ---------------- Delivery (zero-cost bookkeeping) ----------------
-    std::vector<std::vector<std::pair<VertexId, Message>>> inbox(
-        num_partitions);
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_inbox(
-        num_partitions);
-    std::vector<double> incoming_remote_bytes(num_partitions, 0.0);
-    std::vector<double> local_materialized_bytes(num_partitions, 0.0);
-
-    for (PartitionId p = 0; p < num_partitions; ++p) {
-      PartitionOut& out = outs[p];
-      auto& own = inbox[p];
-      std::move(out.local.begin(), out.local.end(), std::back_inserter(own));
-      out.local.clear();
-      local_materialized_bytes[p] +=
-          out.boundary_local_bytes +
-          (config_.local_propagation ? 0.0 : out.inner_local_bytes);
-      const MachineId src_machine = placement_->primary(p);
-      // Bytes from a co-located partition were already spilled to this
-      // machine's disk by the Transfer task; the Combine task only re-reads
-      // them. Truly remote bytes additionally pay the receive spill, and
-      // are what a recovering Combine task must re-transfer.
-      auto account = [&](PartitionId dst, double bytes) {
-        if (placement_->primary(dst) == src_machine) {
-          local_materialized_bytes[dst] += bytes;
-        } else {
-          incoming_remote_bytes[dst] += bytes;
-        }
-      };
-      for (auto& [dst, messages] : out.remote_list) {
-        for (auto& [target, message] : messages) {
-          account(dst, static_cast<double>(app_.MessageBytes(message)));
-          inbox[dst].emplace_back(target, std::move(message));
-        }
-      }
-      for (auto& [dst, merged] : out.remote_merged) {
-        for (auto& [target, message] : merged) {
-          account(dst, static_cast<double>(app_.MessageBytes(message)));
-          inbox[dst].emplace_back(target, std::move(message));
-        }
-      }
-      for (auto& [dst, messages] : out.virtual_list) {
-        for (auto& [target, message] : messages) {
-          if (dst != p) {
-            account(dst, static_cast<double>(app_.MessageBytes(message)));
-          } else {
-            local_materialized_bytes[p] +=
-                static_cast<double>(app_.MessageBytes(message));
-          }
-          virtual_inbox[dst].emplace_back(target, std::move(message));
-        }
-      }
-      for (auto& [dst, merged] : out.virtual_merged) {
-        for (auto& [target, message] : merged) {
-          if (dst != p) {
-            account(dst, static_cast<double>(app_.MessageBytes(message)));
-          } else {
-            local_materialized_bytes[p] +=
-                static_cast<double>(app_.MessageBytes(message));
-          }
-          virtual_inbox[dst].emplace_back(target, std::move(message));
-        }
-      }
-      out = PartitionOut{};  // release buffers eagerly
-    }
-
     // ---------------- Combine stage ----------------
     std::vector<SimTask> combine_tasks(num_partitions);
     std::vector<std::vector<std::pair<uint64_t, VirtualOutput>>>
@@ -535,44 +359,48 @@ class PropagationRunner {
         std::in_place, config_.tracer,
         "combine_compute[" + std::to_string(iteration) + "]", "propagation");
     std::vector<uint64_t> skipped_per_partition(num_partitions, 0);
+    const bool gated = Kernel::Gated(config_);
     GlobalThreadPool().ParallelFor(num_partitions, [&](size_t pi) {
       const PartitionId p = static_cast<PartitionId>(pi);
       const PartitionMeta& meta = graph_->partition(p);
-      auto& messages = inbox[p];
-      // Sort-free regroup (runtime/combine_plan.h): the inbox was filled in
-      // ascending source-partition order, so a stable counting scatter by
-      // target reproduces, byte for byte, the grouping the legacy
-      // stable_sort produced — each vertex's messages contiguous, per-sender
-      // emission order preserved.
-      runtime::CombineScratch scratch = combine_pool_.Acquire();
-      std::vector<Message> grouped;
-      runtime::GroupMessagesByVertex(scratch, meta.begin, meta.end, messages,
-                                     grouped);
-
+      const MachineId my_machine = placement_->primary(p);
+      // The inbox: every stream addressed to p, in ascending source order
+      // (the canonical order, see PartitionKernel). Bytes from a co-located
+      // partition were already spilled to this machine's disk by the
+      // Transfer task; the Combine task only re-reads them. Truly remote
+      // bytes additionally pay the receive spill, and are what a recovering
+      // Combine task must re-transfer.
+      double local_bytes = outs[p].self_spill_bytes;
+      double incoming = 0.0;
+      std::vector<InboxChunk> chunks;
+      for (PartitionId src = 0; src < num_partitions; ++src) {
+        InboxChunk& chunk = outs[src].chunks[p];
+        if (chunk.real.empty() && chunk.virtuals.empty()) {
+          continue;
+        }
+        if (src != p) {
+          const double bytes = static_cast<double>(chunk.priced_bytes);
+          if (chunk.src_machine == my_machine) {
+            local_bytes += bytes;
+          } else {
+            incoming += bytes;
+          }
+        }
+        chunks.push_back(std::move(chunk));
+      }
+      runtime::CombineScratch plan;
+      typename Kernel::ChunkPool pool;
+      typename Kernel::CombineBuffers buffers;
+      kernel.Regroup(p, my_machine, my_machine, plan, chunks, pool, buffers);
       // Frontier gating skips only the Combine *call* for silent vertices
       // (legal by the app's kSkipSilentVertices contract); the simulated
       // cost model still walks and prices every vertex state, so accounted
       // costs are independent of the gate.
-      bool gate = false;
-      if constexpr (SilentVertexSkippableApp<App>) {
-        gate = config_.frontier_gating;
-      }
+      skipped_per_partition[p] =
+          kernel.RunCombine(p, gated, plan, buffers, states_);
       double new_state_bytes = 0.0;
       double skipped_state_bytes = 0.0;
-      uint64_t skipped_vertices = 0;
-      std::vector<Message> vertex_messages;
       for (VertexId v = meta.begin; v < meta.end; ++v) {
-        const size_t i = static_cast<size_t>(v - meta.begin);
-        if (gate && !scratch.Received(i)) {
-          ++skipped_vertices;
-        } else {
-          vertex_messages.clear();
-          for (size_t j = scratch.RunBegin(i), end = scratch.RunEnd(i);
-               j < end; ++j) {
-            vertex_messages.push_back(std::move(grouped[j]));
-          }
-          app_.Combine(v, states_[v], g.OutNeighbors(v), vertex_messages);
-        }
         const double state_bytes =
             static_cast<double>(app_.StateBytes(states_[v]));
         new_state_bytes += state_bytes;
@@ -580,42 +408,13 @@ class PropagationRunner {
           skipped_state_bytes += state_bytes;
         }
       }
-      skipped_per_partition[p] = skipped_vertices;
-      combine_pool_.Release(std::move(scratch));
+      kernel.FoldVirtuals(buffers, virtual_results[p]);
+      const double virtual_output_bytes =
+          static_cast<double>(virtual_results[p].size() *
+                              internal::kVirtualOutputBytes);
 
-      // Virtual vertices owned by this partition: rank-and-scatter regroup
-      // (only the distinct IDs are sorted, not all records).
-      double virtual_output_bytes = 0.0;
-      if constexpr (VirtualVertexApp<App>) {
-        auto& vmsgs = virtual_inbox[p];
-        runtime::VirtualGroupScratch vgroups;
-        std::vector<Message> vgrouped;
-        runtime::GroupVirtualMessages(vgroups, vmsgs, vgrouped);
-        std::vector<Message> group;
-        for (size_t i = 0; i < vgroups.ids.size(); ++i) {
-          const uint64_t id = vgroups.ids[i];
-          group.clear();
-          for (size_t j = vgroups.offsets[i]; j < vgroups.offsets[i + 1];
-               ++j) {
-            group.push_back(std::move(vgrouped[j]));
-          }
-          virtual_results[p].emplace_back(id, app_.CombineVirtual(id, group));
-          virtual_output_bytes +=
-              static_cast<double>(internal::kVirtualOutputBytes);
-        }
-      }
-
-      SimTask& task = combine_tasks[p];
-      task.kind = SimTaskKind::kCombine;
-      task.partition = p;
-      for (MachineId m : placement_->replicas[p]) {
-        if (m != kInvalidMachine) {
-          task.candidate_machines.push_back(m);
-        }
-      }
+      SimTask& task = combine_tasks[p] = MakeTask(SimTaskKind::kCombine, p);
       TaskCost& cost = task.cost;
-      const double incoming = incoming_remote_bytes[p];
-      const double local_bytes = local_materialized_bytes[p];
       cost.network_in_bytes = incoming;  // pulled from remote transfers
       cost.disk_read_bytes = local_bytes + incoming;
       // Receive spill + the updated states (cascade skips intermediate
@@ -689,9 +488,6 @@ class PropagationRunner {
   std::map<uint64_t, VirtualOutput> virtual_outputs_;
   CascadeInfo cascade_;
   PropagationCounters counters_;
-  /// Regroup scratch freelist shared by the ParallelFor combine tasks
-  /// (thread-safe; keeps counting-scatter storage warm across iterations).
-  runtime::CombineScratchPool combine_pool_;
   std::vector<double> link_network_bytes_;
 };
 

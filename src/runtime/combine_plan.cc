@@ -60,21 +60,5 @@ void VirtualGroupScratch::Clear() {
   rank.clear();
 }
 
-CombineScratch CombineScratchPool::Acquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (free_.empty()) {
-    return CombineScratch{};
-  }
-  CombineScratch scratch = std::move(free_.back());
-  free_.pop_back();
-  return scratch;
-}
-
-void CombineScratchPool::Release(CombineScratch scratch) {
-  scratch.Reset();
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(std::move(scratch));
-}
-
 }  // namespace runtime
 }  // namespace surfer

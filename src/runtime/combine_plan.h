@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,7 +42,6 @@ class CombineScratch {
 
   /// True between BeginRange and Reset.
   bool active() const { return active_; }
-  VertexId range_begin() const { return begin_; }
   size_t range_size() const { return static_cast<size_t>(end_ - begin_); }
   uint64_t total() const { return total_; }
 
@@ -113,54 +111,26 @@ struct VirtualGroupScratch {
   void Clear();
 };
 
-/// Mutex-guarded freelist of CombineScratch objects for engines that run
-/// combine tasks on pool threads (the sequential runner's ParallelFor);
-/// the concurrent executor instead keeps one scratch per partition so it
-/// can count incrementally at chunk arrival.
-class CombineScratchPool {
- public:
-  CombineScratch Acquire();
-  void Release(CombineScratch scratch);
-
- private:
-  std::mutex mu_;
-  std::vector<CombineScratch> free_;
-};
-
-/// Groups a flat record vector (already in sequential stream order) by
-/// target: `grouped` ends up byte-identical to sorting `records` with a
-/// stable_sort on `.first` and projecting out the messages, and `scratch`
+/// Groups a chunked record stream by target: `chunks` is any range of
+/// holders exposing `.real` record vectors whose concatenation is the
+/// sequential stream order (engines stable-sort chunks by src partition
+/// first). `grouped` ends up byte-identical to a stable_sort of the
+/// concatenation on `.first` with the messages projected out, and `scratch`
 /// holds the per-vertex run offsets plus the received-message frontier.
-/// Messages are moved out of `records`.
-template <typename Message>
-void GroupMessagesByVertex(CombineScratch& scratch, VertexId begin,
-                           VertexId end,
-                           std::vector<std::pair<VertexId, Message>>& records,
-                           std::vector<Message>& grouped) {
-  scratch.BeginRange(begin, end);
-  for (const auto& record : records) {
-    scratch.Count(record.first);
-  }
-  scratch.FinishCounts();
-  grouped.clear();
-  grouped.resize(records.size());
-  for (auto& [target, message] : records) {
-    grouped[scratch.PlaceIndex(target)] = std::move(message);
-  }
-}
-
-/// Chunked variant: `chunks` is any range of holders exposing `.real`
-/// record vectors whose concatenation is the sequential stream order (the
-/// engines stable-sort chunks by src partition first). Returns the total
-/// number of records scattered.
+/// An idle scratch is armed over [begin, end) and counted here; an armed one
+/// must already hold the counts of exactly these records (engines that
+/// count chunks as they arrive). Messages are moved out; returns the number
+/// of records scattered.
 template <typename Message, typename Chunks>
 uint64_t GroupChunkedMessages(CombineScratch& scratch, VertexId begin,
                               VertexId end, Chunks& chunks,
                               std::vector<Message>& grouped) {
-  scratch.BeginRange(begin, end);
-  for (auto& chunk : chunks) {
-    for (const auto& record : chunk.real) {
-      scratch.Count(record.first);
+  if (!scratch.active()) {
+    scratch.BeginRange(begin, end);
+    for (const auto& chunk : chunks) {
+      for (const auto& record : chunk.real) {
+        scratch.Count(record.first);
+      }
     }
   }
   scratch.FinishCounts();

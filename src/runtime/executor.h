@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "common/logging.h"
 #include "common/result.h"
 #include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
@@ -22,6 +23,7 @@
 #include "obs/trace_shard.h"
 #include "propagation/app_traits.h"
 #include "propagation/config.h"
+#include "propagation/partition_kernel.h"
 #include "runtime/barrier.h"
 #include "runtime/channel.h"
 #include "runtime/channel_plan.h"
@@ -82,15 +84,10 @@ struct RuntimeOptions {
 /// separates the BSP supersteps. The executor's contract, asserted by
 /// tests/runtime_test.cc, is *bit-identical* results to the sequential
 /// runner at every optimization level:
-///   - each Combine sees its messages in the exact sequential order. The
-///     sequential runner fills a partition's inbox in ascending source
-///     partition order (its own local buffer landing at the src == dst
-///     slot) and then stable-sorts by target. On the wire, a (src, dst)
-///     stream may be chunked across batches by size/deadline flushes, but
-///     only one machine ever produces a given stream (tasks are atomic) and
-///     channels are FIFO, so chunks arrive in emission order; the receiver
-///     stable-sorts its chunks by src, concatenates, and applies the same
-///     target sort;
+///   - each Combine sees its messages in the exact sequential order: the
+///     per-partition work is the shared PartitionKernel, whose header gives
+///     the ordering argument (one producer per stream, FIFO channels, a
+///     stable sort of chunks by src, a stable counting scatter by target);
 ///   - wire combination merges a task's complete per-stream records before
 ///     pricing or serializing any of them (WireStager::StageTask), so a
 ///     merged stream carries at most one message per target per source and
@@ -128,7 +125,8 @@ class RuntimeExecutor {
   /// Executes config.iterations supersteps. Fails when every replica of a
   /// partition is dead (the job is unrecoverable, as in Appendix B).
   Status Run() {
-    SURFER_RETURN_IF_ERROR(Validate());
+    SURFER_RETURN_IF_ERROR(
+        Kernel::Validate(graph_, placement_, topology_, config_));
     const auto wall_start = std::chrono::steady_clock::now();
     run_start_ = wall_start;
     // Tracer time at the run's start instant: the offset that maps the
@@ -136,7 +134,7 @@ class RuntimeExecutor {
     // when counter events merge into the Chrome trace.
     const double wall_start_tracer_us =
         config_.tracer != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    InitializeStates();
+    states_ = kernel().InitStates();
     virtual_outputs_.clear();
     stats_ = RuntimeStats{};
 
@@ -314,6 +312,9 @@ class RuntimeExecutor {
   const std::vector<uint8_t>& alive() const { return alive_; }
 
  private:
+  using Kernel = PartitionKernel<App>;
+  using InboxChunk = typename Kernel::InboxChunk;
+
   enum class PhaseKind : uint8_t { kIdle, kTransfer, kCombine, kShutdown };
 
   /// One stage round published by the main thread before the start barrier;
@@ -324,22 +325,6 @@ class RuntimeExecutor {
     bool recovery = false;
     /// tasks[m]: partitions machine m executes this round, ascending.
     std::vector<std::vector<PartitionId>> tasks;
-  };
-
-  /// One deserialized wire segment: a contiguous chunk of one
-  /// (src partition -> dst partition) message stream, either real or
-  /// virtual records. A stream may arrive as several chunks when size or
-  /// deadline flushes split it across batches; exactly one machine produces
-  /// a given stream per stage (tasks are atomic under fault injection) and
-  /// channels are FIFO, so within a src the arrival order of chunks is the
-  /// emission order, and a stable sort on src reconstructs the sequential
-  /// inbox.
-  struct InboxChunk {
-    PartitionId src = kInvalidPartition;
-    MachineId src_machine = kInvalidMachine;
-    uint64_t priced_bytes = 0;
-    std::vector<std::pair<VertexId, Message>> real;
-    std::vector<std::pair<uint64_t, Message>> virtuals;
   };
 
   /// The stage a worker is currently draining for; written by the worker
@@ -366,54 +351,17 @@ class RuntimeExecutor {
     std::vector<uint64_t> link_bytes;
   };
 
-  /// Per-worker reusable buffers (distinct from WorkerLocal, which is pure
-  /// stats): grouped-message output, per-vertex/-group staging vectors, the
-  /// recycled inbox-chunk freelist, and the transfer task's per-destination
-  /// stream buffers. All touched only by their worker, never merged.
+  /// Per-worker reusable kernel scratch (distinct from WorkerLocal, which
+  /// is pure stats): the transfer task's per-destination streams, the
+  /// combine buffers, and the recycled inbox-chunk freelist. All touched
+  /// only by their worker, never merged.
   struct WorkerScratch {
-    std::vector<Message> grouped;          ///< combine placement output
-    std::vector<Message> vertex_messages;  ///< one vertex's message list
-    std::vector<std::pair<uint64_t, Message>> virtual_messages;
-    std::vector<Message> virtual_grouped;
-    std::vector<Message> virtual_group;
-    VirtualGroupScratch vgroups;
-    /// Consumed InboxChunks parked here (record capacity kept) instead of
-    /// the legacy clear + shrink_to_fit, so steady-state deserialization
-    /// allocates nothing. Bounded: overflow chunks just deallocate.
-    std::vector<InboxChunk> chunk_pool;
-    std::vector<std::vector<std::pair<VertexId, Message>>> real_out;
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_out;
+    typename Kernel::Streams streams;
+    typename Kernel::CombineBuffers combine;
+    typename Kernel::ChunkPool chunk_pool;
   };
 
-  static constexpr size_t kChunkPoolCap = 256;
-
-  Status Validate() const {
-    if (graph_ == nullptr || placement_ == nullptr || topology_ == nullptr) {
-      return Status::InvalidArgument("executor inputs must be non-null");
-    }
-    if (placement_->num_partitions() != graph_->num_partitions()) {
-      return Status::InvalidArgument(
-          "placement partition count does not match graph");
-    }
-    if (config_.iterations < 1) {
-      return Status::InvalidArgument("iterations must be >= 1");
-    }
-    for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
-      if (placement_->primary(p) >= topology_->num_machines()) {
-        return Status::InvalidArgument("placement machine out of range");
-      }
-    }
-    return Status::OK();
-  }
-
-  void InitializeStates() {
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
-  }
+  Kernel kernel() const { return Kernel(app_, *graph_); }
 
   double MainBarrier() { return barrier_->ArriveAndWait(); }
 
@@ -783,42 +731,22 @@ class RuntimeExecutor {
     const auto unpack_start = std::chrono::steady_clock::now();
     const double wire_bytes = static_cast<double>(batch.wire_size());
     WireBatchReader<Message> reader(batch);
-    WorkerScratch& ws = worker_scratch_[w];
-    for (;;) {
-      // Decode into a recycled chunk's record vectors (capacity kept), so
-      // steady-state unpacking allocates nothing.
-      InboxChunk chunk;
-      if (!ws.chunk_pool.empty()) {
-        chunk = std::move(ws.chunk_pool.back());
-        ws.chunk_pool.pop_back();
-      }
-      typename WireBatchReader<Message>::Segment segment;
-      segment.real = std::move(chunk.real);
-      segment.virtuals = std::move(chunk.virtuals);
-      const bool decoded = reader.NextInto(segment);
-      chunk.real = std::move(segment.real);
-      chunk.virtuals = std::move(segment.virtuals);
-      if (!decoded) {
-        if (ws.chunk_pool.size() < kChunkPoolCap) {
-          ws.chunk_pool.push_back(std::move(chunk));
-        }
-        break;
-      }
-      const PartitionId dst = segment.header.dst_partition;
-      chunk.src = segment.header.src_partition;
-      chunk.src_machine = batch.src_machine;
-      chunk.priced_bytes = segment.header.priced_bytes;
-      CombineScratch& plan = combine_scratch_[dst];
-      if (!plan.active()) {
-        const PartitionMeta& meta = graph_->partition(dst);
-        plan.BeginRange(meta.begin, meta.end);
-      }
-      for (const auto& record : chunk.real) {
-        plan.Count(record.first);
-      }
-      inbox_chunk_counts_[dst].fetch_add(1, std::memory_order_relaxed);
-      inboxes_[dst].push_back(std::move(chunk));
-    }
+    // Batches come from this process's own stagers, so a decode failure is
+    // a bug, never bad input.
+    SURFER_CHECK_OK(kernel().Decode(
+        reader, batch.src_machine, worker_scratch_[w].chunk_pool,
+        [&](PartitionId dst, InboxChunk&& chunk) {
+          CombineScratch& plan = combine_scratch_[dst];
+          if (!plan.active()) {
+            const PartitionMeta& meta = graph_->partition(dst);
+            plan.BeginRange(meta.begin, meta.end);
+          }
+          for (const auto& record : chunk.real) {
+            plan.Count(record.first);
+          }
+          inbox_chunk_counts_[dst].fetch_add(1, std::memory_order_relaxed);
+          inboxes_[dst].push_back(std::move(chunk));
+        }));
     pool_->Release(std::move(batch.payload));
     const DrainPhase phase = drain_phase_[w];
     PhaseSeconds& slot = PhaseSlot(phase.iteration, phase.kind, d);
@@ -865,8 +793,8 @@ class RuntimeExecutor {
   /// Runs the Transfer task of partition p on `exec_machine`. The task body
   /// only routes raw emissions into per-destination streams; local
   /// combination, pricing, and serialization all happen at staging time in
-  /// the machine's WireStager (which replays the sequential runner's merge
-  /// sequence, keeping results bit-identical).
+  /// the machine's WireStager (the same MergeDuplicates fold the sequential
+  /// runner uses, keeping results bit-identical).
   void RunTransferTask(PartitionId p, MachineId exec_machine, int iteration,
                        uint32_t w, WorkerLocal& local) {
     // Hot path: per-task events go through this worker's lock-free shard
@@ -874,56 +802,19 @@ class RuntimeExecutor {
     const double task_start_us =
         sharded_ != nullptr ? config_.tracer->WallNowUs() : 0.0;
     const auto compute_start = std::chrono::steady_clock::now();
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(p);
-    const uint32_t num_partitions = graph_->num_partitions();
-
     // Raw (emission-order) streams per destination partition, reused across
-    // the worker's tasks (cleared, capacity kept). The whole task
-    // accumulates before anything is staged so wire combination spans the
-    // full stream — the precondition for exact byte reconciliation.
-    WorkerScratch& ws = worker_scratch_[w];
-    auto& real_out = ws.real_out;
-    auto& virtual_out = ws.virtual_out;
-    real_out.resize(num_partitions);
-    virtual_out.resize(num_partitions);
-    for (auto& stream : real_out) {
-      stream.clear();
-    }
-    for (auto& stream : virtual_out) {
-      stream.clear();
-    }
-
-    PropagationEmitter<Message> emitter;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-      emitter.Drain(
-          [&](VertexId target, Message message) {
-            real_out[graph_->PartitionOf(target)].emplace_back(
-                target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            virtual_out[target % num_partitions].emplace_back(
-                target, std::move(message));
-          });
-    }
+    // the worker's tasks. The whole task accumulates before anything is
+    // staged so wire combination spans the full stream — the precondition
+    // for exact byte reconciliation.
+    typename Kernel::Streams& streams = worker_scratch_[w].streams;
+    kernel().RunTransfer(p, states_, streams);
     const auto serialize_start = std::chrono::steady_clock::now();
-    double blocked_s = 0.0;
-
-    // Stage every non-empty stream in ascending destination order
-    // (deterministic wire traffic); the stager seals and ships batches as
-    // they fill.
-    WireStager<App>& stager = stagers_[exec_machine];
-    for (PartitionId dst = 0; dst < num_partitions; ++dst) {
-      if (real_out[dst].empty() && virtual_out[dst].empty()) {
-        continue;
-      }
-      blocked_s += stager.StageTask(
-          p, dst, placement_->primary(dst), real_out[dst], virtual_out[dst],
-          [&](WireBatch&& batch) {
-            return SendBatch(std::move(batch), w, local);
-          });
-    }
+    // The stager seals and ships batches as they fill.
+    const double blocked_s = stagers_[exec_machine].StageStreams(
+        p, streams, [&](PartitionId dst) { return placement_->primary(dst); },
+        [&](WireBatch&& batch) {
+          return SendBatch(std::move(batch), w, local);
+        });
 
     const auto task_end = std::chrono::steady_clock::now();
     PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kTransfer,
@@ -948,143 +839,39 @@ class RuntimeExecutor {
     const double task_start_us =
         sharded_ != nullptr ? config_.tracer->WallNowUs() : 0.0;
     const auto inbox_start = std::chrono::steady_clock::now();
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(p);
-    std::vector<InboxChunk>& chunks = inboxes_[p];
-    // Ascending src order recreates the sequential delivery loop (the
-    // partition's own chunks land at the src == p slot automatically). The
-    // sort must be *stable*: a stream split across batches arrives as
-    // several chunks with the same src whose relative (emission) order
-    // carries the sequential message order. Only chunks are sorted (a few
-    // per stage); the per-message sort is gone.
-    std::stable_sort(chunks.begin(), chunks.end(),
-                     [](const InboxChunk& a, const InboxChunk& b) {
-                       return a.src < b.src;
-                     });
-    if (exec_machine != placement_->primary(p)) {
-      // Appendix-B recovery: the replica holder re-fetches the incoming
-      // message spills that the dead primary had already received.
-      for (const InboxChunk& chunk : chunks) {
-        if (chunk.src_machine != exec_machine) {
-          local.refetch_bytes += chunk.priced_bytes;
-        }
-      }
-    }
-
-    // Placement pass of the counting scatter: counts and frontier bits were
-    // built as chunks arrived (ReceiveBatch), so reconstruction is one
-    // prefix sum plus a single O(M) walk of the sorted chunks that drops
-    // each message straight into its grouped position. A stable counting
-    // sort yields the exact permutation of the legacy stable_sort, so
-    // grouped runs are byte-identical to the sequential inbox order.
+    const Kernel kernel = this->kernel();
+    // Counts and frontier bits were built as chunks arrived (ReceiveBatch),
+    // so the regroup is one prefix sum plus a single placement walk.
     WorkerScratch& ws = worker_scratch_[w];
     CombineScratch& plan = combine_scratch_[p];
-    if (!plan.active()) {
-      plan.BeginRange(meta.begin, meta.end);  // partition received nothing
-    }
-    const auto scatter_start = std::chrono::steady_clock::now();
-    plan.FinishCounts();
-    std::vector<Message>& grouped = ws.grouped;
-    grouped.clear();
-    grouped.resize(static_cast<size_t>(plan.total()));
-    auto& virtual_messages = ws.virtual_messages;
-    virtual_messages.clear();
-    for (InboxChunk& chunk : chunks) {
-      for (auto& [target, message] : chunk.real) {
-        grouped[plan.PlaceIndex(target)] = std::move(message);
-      }
-      std::move(chunk.virtuals.begin(), chunk.virtuals.end(),
-                std::back_inserter(virtual_messages));
-    }
-    const uint64_t scattered = plan.total();
-    local.combine_scatter_seconds +=
-        Seconds(std::chrono::steady_clock::now() - scatter_start);
-    local.combine_messages_scattered += scattered;
-    RecycleChunks(chunks, ws);
+    const auto inbox = kernel.Regroup(p, exec_machine, placement_->primary(p),
+                                      plan, inboxes_[p], ws.chunk_pool,
+                                      ws.combine);
+    local.refetch_bytes += inbox.refetch_bytes;
+    local.combine_scatter_seconds += inbox.scatter_seconds;
+    local.combine_messages_scattered += inbox.scattered;
     inbox_chunk_counts_[p].store(0, std::memory_order_relaxed);
 
     // Everything up to here reconstructed the sequential inbox from wire
     // buffers: serialization time. The rest is user compute.
     const auto compute_start = std::chrono::steady_clock::now();
-    std::vector<Message>& vertex_messages = ws.vertex_messages;
-    const size_t range = plan.range_size();
-    auto combine_vertex = [&](size_t i) {
-      const VertexId v = meta.begin + static_cast<VertexId>(i);
-      vertex_messages.clear();
-      for (size_t j = plan.RunBegin(i), end = plan.RunEnd(i); j < end; ++j) {
-        vertex_messages.push_back(std::move(grouped[j]));
-      }
-      app_.Combine(v, states_[v], g.OutNeighbors(v), vertex_messages);
-    };
-    uint64_t skipped = 0;
-    bool gated = false;
-    if constexpr (SilentVertexSkippableApp<App>) {
-      if (config_.frontier_gating) {
-        // Frontier-gated loop: visit only vertices whose received bit is
-        // set; the app's kSkipSilentVertices contract makes skipping the
-        // rest the identity.
-        gated = true;
-        uint64_t visited = 0;
-        for (size_t i = plan.NextReceived(0); i < range;
-             i = plan.NextReceived(i + 1)) {
-          combine_vertex(i);
-          ++visited;
-        }
-        skipped = static_cast<uint64_t>(range) - visited;
-      }
-    }
-    if (!gated) {
-      for (size_t i = 0; i < range; ++i) {
-        combine_vertex(i);
-      }
-    }
+    const uint64_t skipped = kernel.RunCombine(p, Kernel::Gated(config_),
+                                               plan, ws.combine, states_);
     local.frontier_vertices_skipped += skipped;
-    plan.Reset();
-
-    if constexpr (VirtualVertexApp<App>) {
-      // Virtual IDs are arbitrary 64-bit values: rank the distinct IDs and
-      // scatter (combine_plan.h) instead of sorting all M records.
-      GroupVirtualMessages(ws.vgroups, virtual_messages, ws.virtual_grouped);
-      std::vector<Message>& group = ws.virtual_group;
-      for (size_t i = 0; i < ws.vgroups.ids.size(); ++i) {
-        const uint64_t id = ws.vgroups.ids[i];
-        group.clear();
-        for (size_t j = ws.vgroups.offsets[i]; j < ws.vgroups.offsets[i + 1];
-             ++j) {
-          group.push_back(std::move(ws.virtual_grouped[j]));
-        }
-        virtual_results_[p].emplace_back(id, app_.CombineVirtual(id, group));
-      }
-    }
+    kernel.FoldVirtuals(ws.combine, virtual_results_[p]);
 
     const auto task_end = std::chrono::steady_clock::now();
     PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kCombine,
                                    exec_machine);
     slot.serialize_s += Seconds(compute_start - inbox_start);
     slot.compute_s += Seconds(task_end - compute_start);
-    slot.scatter_messages += static_cast<double>(scattered);
+    slot.scatter_messages += static_cast<double>(inbox.scattered);
     slot.frontier_skipped += static_cast<double>(skipped);
     if (sharded_ != nullptr) {
       sharded_->shard(w).Record(obs::ShardEvent{
           combine_name_id_, exec_machine, task_start_us,
           config_.tracer->WallNowUs() - task_start_us, p});
     }
-  }
-
-  /// Parks consumed chunks on the worker's freelist (record capacity kept)
-  /// instead of the legacy per-task clear + shrink_to_fit churn; overflow
-  /// beyond the cap simply deallocates. The inbox vector itself keeps its
-  /// capacity across iterations.
-  void RecycleChunks(std::vector<InboxChunk>& chunks, WorkerScratch& ws) {
-    for (InboxChunk& chunk : chunks) {
-      if (ws.chunk_pool.size() >= kChunkPoolCap) {
-        break;
-      }
-      chunk.real.clear();
-      chunk.virtuals.clear();
-      ws.chunk_pool.push_back(std::move(chunk));
-    }
-    chunks.clear();
   }
 
   // ------------------------------------------------------------- wrap-up
@@ -1132,15 +919,7 @@ class RuntimeExecutor {
       stats_.channels.push_back(std::move(snapshot));
     }
     for (const WireStager<App>& stager : stagers_) {
-      const WireStagerStats& ws = stager.stats();
-      stats_.wire_batches_sent += ws.batches_sealed;
-      stats_.wire_segments_sent += ws.segments_sealed;
-      stats_.wire_payload_bytes += ws.payload_bytes;
-      stats_.wire_messages_combined += ws.messages_combined;
-      stats_.wire_flush_size += ws.flush_size;
-      stats_.wire_flush_deadline += ws.flush_deadline;
-      stats_.wire_flush_stage_end += ws.flush_stage_end;
-      stats_.batch_fill.Merge(ws.batch_fill);
+      AccumulateStagerStats(stager.stats(), stats_);
     }
     if (pool_ != nullptr) {
       const WireBufferPool::Stats pool = pool_->stats();

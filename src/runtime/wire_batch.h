@@ -8,14 +8,16 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/result.h"
 #include "graph/types.h"
 #include "propagation/app_traits.h"
+#include "propagation/partition_kernel.h"
 
 namespace surfer {
 namespace runtime {
@@ -146,28 +148,52 @@ class WireBatchReader {
 
   explicit WireBatchReader(const WireBatch& batch) : batch_(batch) {}
 
+  /// Next segment, or nullopt once the payload is exhausted or corrupt.
   std::optional<Segment> Next() {
     Segment segment;
-    if (!NextInto(segment)) {
+    Result<bool> decoded = NextInto(segment);
+    if (!decoded.ok() || !*decoded) {
       return std::nullopt;
     }
     return segment;
   }
 
   /// Decode-into variant that reuses the segment's record-vector capacity:
-  /// the executor feeds recycled inbox-chunk buffers through this, so after
+  /// engines feed recycled inbox-chunk buffers through this, so after
   /// warm-up deserialization performs no per-segment allocation. Returns
-  /// false (with both vectors cleared) once the payload is exhausted.
-  bool NextInto(Segment& segment) {
+  /// false (with both vectors cleared) once the payload is exhausted, and
+  /// Corruption when a header or its `count` records overrun the payload —
+  /// the bytes may come from a peer process, so nothing past the end is
+  /// ever read.
+  Result<bool> NextInto(Segment& segment) {
     segment.real.clear();
     segment.virtuals.clear();
-    if (offset_ >= batch_.payload.size()) {
+    const size_t size = batch_.payload.size();
+    if (offset_ >= size) {
       return false;
+    }
+    if (size - offset_ < sizeof(WireSegmentHeader)) {
+      return Status::Corruption("wire segment header truncated at byte " +
+                                std::to_string(offset_));
     }
     const uint8_t* base = batch_.payload.data();
     segment.header = ReadPod<WireSegmentHeader>(base + offset_);
     offset_ += sizeof(WireSegmentHeader);
-    if (segment.header.kind == kWireSegmentReal) {
+    if (segment.header.kind != kWireSegmentReal &&
+        segment.header.kind != kWireSegmentVirtual) {
+      return Status::Corruption("wire segment of unknown kind " +
+                                std::to_string(segment.header.kind));
+    }
+    const bool real = segment.header.kind == kWireSegmentReal;
+    const size_t record_bytes =
+        (real ? sizeof(VertexId) : sizeof(uint64_t)) + sizeof(Message);
+    if (segment.header.count > (size - offset_) / record_bytes) {
+      return Status::Corruption(
+          "wire segment claims " + std::to_string(segment.header.count) +
+          " records but " + std::to_string(size - offset_) +
+          " payload bytes remain");
+    }
+    if (real) {
       segment.real.reserve(segment.header.count);
       for (uint32_t i = 0; i < segment.header.count; ++i) {
         const VertexId target = ReadPod<VertexId>(base + offset_);
@@ -189,6 +215,9 @@ class WireBatchReader {
     return true;
   }
 
+  /// Payload bytes consumed so far: the end of the last decoded segment.
+  size_t offset() const { return offset_; }
+
  private:
   const WireBatch& batch_;
   size_t offset_ = 0;
@@ -208,18 +237,36 @@ struct WireStagerStats {
   Histogram batch_fill;             ///< payload/max_batch_bytes at each seal
 };
 
+/// Adds a stager's counters into an engine's stats record (RuntimeStats or
+/// the distributed WorkerStatsMsg): the wire_* fields, plus the fill
+/// histogram where the record keeps one.
+template <typename Stats>
+void AccumulateStagerStats(const WireStagerStats& ws, Stats& out) {
+  out.wire_batches_sent += ws.batches_sealed;
+  out.wire_segments_sent += ws.segments_sealed;
+  out.wire_payload_bytes += ws.payload_bytes;
+  out.wire_messages_combined += ws.messages_combined;
+  out.wire_flush_size += ws.flush_size;
+  out.wire_flush_deadline += ws.flush_deadline;
+  out.wire_flush_stage_end += ws.flush_stage_end;
+  if constexpr (requires { out.batch_fill.Merge(ws.batch_fill); }) {
+    out.batch_fill.Merge(ws.batch_fill);
+  }
+}
+
 /// Serializes one machine's outbound message streams into pooled WireBatch
 /// payloads, one open batch per destination machine. Accessed only by the
 /// machine's owner worker, so it needs no locking of its own.
 ///
 /// Wire-level local combination happens here, at staging time: a task hands
 /// over its complete (src -> dst) stream, duplicates merge through the same
-/// insertion-ordered map replay the analytic runner uses, and only the
-/// post-merge records are serialized and priced. Because the whole stream is
-/// combined before any of it is written, a mid-stream size flush can split
-/// the stream across batches without changing the priced byte count — the
-/// invariant that keeps the runtime's per-link bytes reconciling exactly
-/// with PropagationRunner::link_network_bytes().
+/// MergeDuplicates fold the analytic runner uses (propagation/
+/// partition_kernel.h), and only the post-merge records are serialized and
+/// priced. Because the whole stream is combined before any of it is
+/// written, a mid-stream size flush can split the stream across batches
+/// without changing the priced byte count — the invariant that keeps the
+/// runtime's per-link bytes reconciling exactly with
+/// PropagationRunner::link_network_bytes().
 template <typename App>
   requires PropagationApp<App> && WireSerializableApp<App>
 class WireStager {
@@ -251,8 +298,8 @@ class WireStager {
                    SendFn&& send) {
     if (combine_) {
       if constexpr (MergeableApp<App>) {
-        MergeDuplicates(real);
-        MergeDuplicates(virtuals);
+        stats_.messages_combined += MergeDuplicates(*app_, real);
+        stats_.messages_combined += MergeDuplicates(*app_, virtuals);
       }
     }
     double blocked_s = 0.0;
@@ -265,6 +312,23 @@ class WireStager {
       blocked_s += WriteSegment(src, dst, dst_machine, kWireSegmentVirtual,
                                 virtuals, send);
       virtuals.clear();
+    }
+    return blocked_s;
+  }
+
+  /// Stages every non-empty stream of one Transfer task in ascending
+  /// destination order (deterministic wire traffic); `route(dst)` names the
+  /// machine holding dst's inbox. Returns the summed blocked seconds.
+  template <typename RouteFn, typename SendFn>
+  double StageStreams(PartitionId src,
+                      typename PartitionKernel<App>::Streams& streams,
+                      RouteFn&& route, SendFn&& send) {
+    double blocked_s = 0.0;
+    for (PartitionId dst = 0; dst < streams.real.size(); ++dst) {
+      if (!streams.real[dst].empty() || !streams.virtuals[dst].empty()) {
+        blocked_s += StageTask(src, dst, route(dst), streams.real[dst],
+                               streams.virtuals[dst], send);
+      }
     }
     return blocked_s;
   }
@@ -321,37 +385,6 @@ class WireStager {
     Clock::time_point opened;
     bool active = false;
   };
-
-  /// Merges duplicate targets by replaying the records through an
-  /// insertion-ordered map walk, exactly the sequence of emplace/Merge calls
-  /// the analytic runner performs — so merged values are bit-identical. The
-  /// map's iteration order is irrelevant downstream: a merged stream carries
-  /// at most one message per target, and the combine side's stable sort by
-  /// target normalizes stream-internal order away.
-  template <typename K>
-  void MergeDuplicates(std::vector<std::pair<K, Message>>& records) {
-    if (records.size() < 2) {
-      return;
-    }
-    std::unordered_map<K, Message> merged;
-    merged.reserve(records.size());
-    for (auto& [key, message] : records) {
-      auto it = merged.find(key);
-      if (it == merged.end()) {
-        merged.emplace(key, std::move(message));
-      } else {
-        it->second = app_->Merge(it->second, message);
-        ++stats_.messages_combined;
-      }
-    }
-    if (merged.size() == records.size()) {
-      return;  // no duplicates: keep emission order as-is
-    }
-    records.clear();
-    for (auto& [key, message] : merged) {
-      records.emplace_back(key, std::move(message));
-    }
-  }
 
   template <typename K, typename SendFn>
   double WriteSegment(PartitionId src, PartitionId dst, MachineId dst_machine,

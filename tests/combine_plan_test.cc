@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,68 +57,73 @@ std::vector<Tagged> ReferenceGroup(
   return grouped;
 }
 
-TEST(CombinePlanTest, ScatterMatchesStableSortOnRandomDuplicateHeavyInputs) {
-  std::mt19937 rng(7);
-  for (int round = 0; round < 20; ++round) {
-    const VertexId begin = 100 + round * 13;
-    const VertexId end = begin + 1 + (round * 37) % 257;
-    const size_t count = static_cast<size_t>(1) << (4 + round % 10);
-    auto records = RandomRecords(rng, begin, end, count);
-    const std::vector<Tagged> expected = ReferenceGroup(records);
-
-    CombineScratch scratch;
-    std::vector<Tagged> grouped;
-    GroupMessagesByVertex(scratch, begin, end, records, grouped);
-    ASSERT_EQ(grouped.size(), expected.size());
-    for (size_t i = 0; i < grouped.size(); ++i) {
-      ASSERT_EQ(grouped[i], expected[i]) << "round " << round << " pos " << i;
-    }
-
-    // Run offsets partition the grouped vector into per-vertex runs whose
-    // keys are homogeneous and ascending.
-    ASSERT_EQ(scratch.total(), count);
-    size_t total_run = 0;
-    for (size_t i = 0; i < scratch.range_size(); ++i) {
-      total_run += scratch.RunEnd(i) - scratch.RunBegin(i);
-      EXPECT_EQ(scratch.RunEnd(i) - scratch.RunBegin(i) > 0,
-                scratch.Received(i));
-    }
-    EXPECT_EQ(total_run, count);
-    scratch.Reset();
-    EXPECT_FALSE(scratch.active());
-  }
-}
-
 TEST(CombinePlanTest, ChunkedScatterMatchesConcatenatedReference) {
-  std::mt19937 rng(11);
   struct Chunk {
     std::vector<std::pair<VertexId, Tagged>> real;
   };
-  for (int round = 0; round < 10; ++round) {
-    const VertexId begin = 5;
-    const VertexId end = begin + 64 + round;
-    std::vector<Chunk> chunks(3 + round % 4);
+  // One scratch serves every input, the way engines reuse theirs: Reset
+  // must hand it back disarmed and clean for the next range.
+  CombineScratch scratch;
+  auto check = [&](VertexId begin, VertexId end, std::vector<Chunk>& chunks) {
     std::vector<std::pair<VertexId, Tagged>> flat;
-    uint64_t serial = 0;
-    for (Chunk& chunk : chunks) {
-      std::uniform_int_distribution<VertexId> target(begin, end - 1);
-      const size_t n = 1 + (rng() % 300);
-      for (size_t i = 0; i < n; ++i) {
-        chunk.real.emplace_back(target(rng), Tagged{serial++, 0.0});
-      }
+    for (const Chunk& chunk : chunks) {
       flat.insert(flat.end(), chunk.real.begin(), chunk.real.end());
     }
     const std::vector<Tagged> expected = ReferenceGroup(flat);
 
-    CombineScratch scratch;
+    EXPECT_FALSE(scratch.active());
+    EXPECT_EQ(scratch.total(), 0u);
     std::vector<Tagged> grouped;
     const uint64_t scattered =
         GroupChunkedMessages(scratch, begin, end, chunks, grouped);
     EXPECT_EQ(scattered, flat.size());
     ASSERT_EQ(grouped.size(), expected.size());
     for (size_t i = 0; i < grouped.size(); ++i) {
-      ASSERT_EQ(grouped[i], expected[i]);
+      ASSERT_EQ(grouped[i], expected[i]) << "pos " << i;
     }
+
+    // Run offsets partition the grouped vector into per-vertex runs whose
+    // keys are homogeneous and ascending.
+    ASSERT_EQ(scratch.total(), flat.size());
+    size_t total_run = 0;
+    for (size_t i = 0; i < scratch.range_size(); ++i) {
+      total_run += scratch.RunEnd(i) - scratch.RunBegin(i);
+      EXPECT_EQ(scratch.RunEnd(i) - scratch.RunBegin(i) > 0,
+                scratch.Received(i));
+    }
+    EXPECT_EQ(total_run, flat.size());
+    scratch.Reset();
+    EXPECT_FALSE(scratch.active());
+  };
+
+  // Duplicate-heavy streams in one chunk, over shifting ranges.
+  std::mt19937 rng(7);
+  for (int round = 0; round < 20; ++round) {
+    const VertexId begin = 100 + round * 13;
+    const VertexId end = begin + 1 + (round * 37) % 257;
+    const size_t count = static_cast<size_t>(1) << (4 + round % 10);
+    std::vector<Chunk> chunks(1);
+    chunks[0].real = RandomRecords(rng, begin, end, count);
+    SCOPED_TRACE("single-chunk round " + std::to_string(round));
+    check(begin, end, chunks);
+  }
+
+  // Streams split across several chunks.
+  std::mt19937 chunk_rng(11);
+  for (int round = 0; round < 10; ++round) {
+    const VertexId begin = 5;
+    const VertexId end = begin + 64 + round;
+    std::vector<Chunk> chunks(3 + round % 4);
+    uint64_t serial = 0;
+    for (Chunk& chunk : chunks) {
+      std::uniform_int_distribution<VertexId> target(begin, end - 1);
+      const size_t n = 1 + (chunk_rng() % 300);
+      for (size_t i = 0; i < n; ++i) {
+        chunk.real.emplace_back(target(chunk_rng), Tagged{serial++, 0.0});
+      }
+    }
+    SCOPED_TRACE("multi-chunk round " + std::to_string(round));
+    check(begin, end, chunks);
   }
 }
 
@@ -223,25 +229,6 @@ TEST(CombinePlanTest, VirtualGroupingMatchesStableSortById) {
     }
     EXPECT_EQ(flat, reference.size());
   }
-}
-
-TEST(CombinePlanTest, PoolRecyclesScratchObjects) {
-  CombineScratchPool pool;
-  CombineScratch a = pool.Acquire();
-  a.BeginRange(0, 1000);
-  a.Count(3);
-  pool.Release(std::move(a));
-  CombineScratch b = pool.Acquire();
-  // Released scratch comes back disarmed; storage capacity is an
-  // implementation detail, but state must be clean.
-  EXPECT_FALSE(b.active());
-  EXPECT_EQ(b.total(), 0u);
-  b.BeginRange(5, 10);
-  b.Count(7);
-  b.FinishCounts();
-  EXPECT_EQ(b.total(), 1u);
-  EXPECT_TRUE(b.Received(2));
-  EXPECT_EQ(b.ReceivedCount(), 1u);
 }
 
 }  // namespace

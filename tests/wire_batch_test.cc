@@ -1,12 +1,19 @@
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/result.h"
+#include "graph/graph_builder.h"
+#include "partition/partitioning.h"
 #include "propagation/app_traits.h"
+#include "propagation/partition_kernel.h"
 #include "runtime/wire_batch.h"
+#include "storage/partitioned_graph.h"
 
 namespace surfer {
 namespace runtime {
@@ -227,6 +234,96 @@ TEST(WireBatchTest, StageEndFlushSealsEveryOpenDestination) {
   EXPECT_EQ(h.sent.size(), 3u);
   EXPECT_EQ(stager.stats().flush_stage_end, 3u);
   EXPECT_EQ(stager.stats().batches_sealed, 3u);
+}
+
+// ------------------------------------------------- malformed payloads
+//
+// A batch may arrive from a peer process, so decoding must never read past
+// the payload or let a record escape its destination partition.
+
+/// One real record from partition `src` to `dst`, staged and sealed.
+WireBatch OneRecordBatch(Harness& h, PartitionId src, PartitionId dst,
+                         VertexId target) {
+  WireStager<SumApp> stager = h.MakeStager();
+  Real real = {{target, 7u}};
+  Virtual virtuals;
+  stager.StageTask(src, dst, /*dst_machine=*/1, real, virtuals, h.Sender());
+  stager.FlushAll(h.Sender());
+  WireBatch batch = std::move(h.sent.back());
+  h.sent.pop_back();
+  return batch;
+}
+
+TEST(WireBatchTest, TruncatedHeaderIsCorruption) {
+  Harness h;
+  WireBatch batch = OneRecordBatch(h, 0, 1, 3u);
+  batch.payload.resize(sizeof(WireSegmentHeader) - 4);
+  WireBatchReader<uint32_t> reader(batch);
+  WireBatchReader<uint32_t>::Segment segment;
+  Result<bool> decoded = reader.NextInto(segment);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  EXPECT_FALSE(WireBatchReader<uint32_t>(batch).Next().has_value());
+}
+
+TEST(WireBatchTest, OverlongCountIsCorruption) {
+  Harness h;
+  WireBatch batch = OneRecordBatch(h, 0, 1, 3u);
+  // Claim 1000 records over a 1-record payload.
+  WireSegmentHeader header = ReadPod<WireSegmentHeader>(batch.payload.data());
+  header.count = 1000;
+  std::memcpy(batch.payload.data(), &header, sizeof(header));
+  WireBatchReader<uint32_t> reader(batch);
+  WireBatchReader<uint32_t>::Segment segment;
+  Result<bool> decoded = reader.NextInto(segment);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(segment.real.empty());
+}
+
+TEST(WireBatchTest, BadPartitionOrTargetIsCorruption) {
+  // Two partitions over four vertices: the kernel's decode must reject a
+  // real target outside its destination partition, and partition IDs out
+  // of range, before any chunk reaches an inbox.
+  Result<Graph> graph = GraphBuilder::FromEdges(4, {{0, 1}, {2, 3}});
+  ASSERT_TRUE(graph.ok());
+  Partitioning partitioning;
+  partitioning.num_partitions = 2;
+  partitioning.assignment = {0, 0, 1, 1};
+  Result<PartitionedGraph> pg = PartitionedGraph::Create(*graph, partitioning);
+  ASSERT_TRUE(pg.ok());
+  SumApp app;
+  const PartitionKernel<SumApp> kernel(app, *pg);
+  const PartitionMeta& dst = pg->partition(1);
+  const VertexId outside = pg->partition(0).begin;
+
+  auto decode = [&](PartitionId src, PartitionId dst_partition,
+                    VertexId target, size_t* delivered) {
+    Harness h;
+    const WireBatch batch = OneRecordBatch(h, src, dst_partition, target);
+    WireBatchReader<uint32_t> reader(batch);
+    PartitionKernel<SumApp>::ChunkPool pool;
+    *delivered = 0;
+    return kernel.Decode(reader, batch.src_machine, pool,
+                         [&](PartitionId, PartitionKernel<SumApp>::InboxChunk&&) {
+                           ++*delivered;
+                         });
+  };
+  size_t delivered = 0;
+  EXPECT_TRUE(decode(0, 1, dst.begin, &delivered).ok());
+  EXPECT_EQ(delivered, 1u);
+  for (const auto& [src, dst_partition, target] :
+       std::vector<std::tuple<PartitionId, PartitionId, VertexId>>{
+           {0, 1, outside},    // target outside its destination partition
+           {0, 1, 4u},         // target outside the graph
+           {0, 2, dst.begin},  // destination partition out of range
+           {5, 1, dst.begin},  // source partition out of range
+       }) {
+    const Status status = decode(src, dst_partition, target, &delivered);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << src << " -> " << dst_partition << " target " << target;
+    EXPECT_EQ(delivered, 0u);
+  }
 }
 
 // ------------------------------------------------------- buffer pool
