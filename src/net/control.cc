@@ -149,6 +149,42 @@ Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload) {
   return msg;
 }
 
+Status ValidateRound(const RoundMsg& round, uint32_t num_partitions,
+                     uint32_t num_machines, int iterations) {
+  const std::string what = "round " + std::to_string(round.seq) + ": ";
+  if (round.kind > RoundKind::kResend) {
+    return Status::Corruption(what + "unknown kind");
+  }
+  if (round.iteration < 0 || round.iteration >= iterations) {
+    return Status::Corruption(what + "iteration " +
+                              std::to_string(round.iteration) +
+                              " is out of range");
+  }
+  if (round.alive.size() != num_machines) {
+    return Status::Corruption(what + "alive is not one entry per machine");
+  }
+  // kInvalidMachine means "not scheduled", except that a transfer round
+  // must route every partition somewhere.
+  auto check = [&](const char* name, const std::vector<MachineId>& ids,
+                   bool allow_invalid) {
+    if (ids.size() != num_partitions) {
+      return Status::Corruption(what + name +
+                                " is not one entry per partition");
+    }
+    for (const MachineId m : ids) {
+      if (m == kInvalidMachine ? !allow_invalid : m >= num_machines) {
+        return Status::Corruption(what + name + " names machine " +
+                                  std::to_string(m));
+      }
+    }
+    return Status::OK();
+  };
+  SURFER_RETURN_IF_ERROR(check("exec", round.exec, true));
+  SURFER_RETURN_IF_ERROR(
+      check("route", round.route, round.kind != RoundKind::kTransfer));
+  return check("reexec", round.reexec, true);
+}
+
 std::vector<uint8_t> EncodeTaskDone(const TaskDoneMsg& msg) {
   std::vector<uint8_t> out;
   AppendPod(out, msg.partition);
@@ -286,27 +322,8 @@ Result<StateUpdateMsg> DecodeStateUpdate(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeWorkerStats(const WorkerStatsMsg& msg) {
   std::vector<uint8_t> out;
-  AppendPod(out, msg.tasks_executed);
-  AppendPod(out, msg.tasks_reexecuted);
-  AppendPod(out, msg.messages_sent);
-  AppendPod(out, msg.buffers_sent);
-  AppendPod(out, msg.wire_batches_sent);
-  AppendPod(out, msg.wire_segments_sent);
-  AppendPod(out, msg.wire_payload_bytes);
-  AppendPod(out, msg.wire_messages_combined);
-  AppendPod(out, msg.wire_flush_size);
-  AppendPod(out, msg.wire_flush_deadline);
-  AppendPod(out, msg.wire_flush_stage_end);
-  AppendPod(out, msg.pool_buffers_acquired);
-  AppendPod(out, msg.pool_buffers_reused);
-  AppendPod(out, msg.refetch_bytes);
-  AppendPod(out, msg.tcp_bytes_sent);
-  AppendPod(out, msg.tcp_frames_sent);
-  AppendPod(out, msg.resend_bytes);
-  AppendPod(out, msg.replication_bytes);
-  AppendPod(out, msg.combine_messages_scattered);
-  AppendPod(out, msg.frontier_vertices_skipped);
-  AppendPod(out, msg.combine_scatter_micros);
+  AppendPod(out, static_cast<const runtime::EngineCounters&>(msg));
+  AppendPod(out, msg.combine_scatter_seconds);
   AppendPod(out, msg.peak_rss_bytes);
   AppendPod(out, msg.heartbeats_sent);
   AppendPod(out, msg.clock_synced);
@@ -320,27 +337,10 @@ std::vector<uint8_t> EncodeWorkerStats(const WorkerStatsMsg& msg) {
 Result<WorkerStatsMsg> DecodeWorkerStats(const std::vector<uint8_t>& payload) {
   PayloadReader reader(payload);
   WorkerStatsMsg msg;
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tasks_executed));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tasks_reexecuted));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.messages_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.buffers_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_batches_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_segments_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_payload_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_messages_combined));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_flush_size));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_flush_deadline));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_flush_stage_end));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.pool_buffers_acquired));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.pool_buffers_reused));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.refetch_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tcp_bytes_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tcp_frames_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.resend_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.replication_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.combine_messages_scattered));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.frontier_vertices_skipped));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.combine_scatter_micros));
+  runtime::EngineCounters counters;
+  SURFER_RETURN_IF_ERROR(reader.Read(&counters));
+  static_cast<runtime::EngineCounters&>(msg) = counters;
+  SURFER_RETURN_IF_ERROR(reader.Read(&msg.combine_scatter_seconds));
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.peak_rss_bytes));
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.heartbeats_sent));
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.clock_synced));
@@ -388,6 +388,25 @@ Result<FinalVirtualMsg> DecodeFinalVirtual(
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.count));
   SURFER_RETURN_IF_ERROR(ReadVector(reader, &msg.entries));
   return msg;
+}
+
+Status ValidateStateBlock(const StateBlock& block,
+                          const PartitionedGraph& graph, size_t state_size,
+                          size_t virtual_entry_size) {
+  const std::string what =
+      "state block of partition " + std::to_string(block.partition);
+  if (block.partition >= graph.num_partitions()) {
+    return Status::Corruption(what + ": no such partition");
+  }
+  const PartitionMeta& meta = graph.partition(block.partition);
+  if (block.begin != meta.begin || block.count != meta.end - meta.begin) {
+    return Status::Corruption(what + " does not cover exactly its range");
+  }
+  if (block.state_bytes != static_cast<size_t>(block.count) * state_size ||
+      block.virtual_bytes != block.virtual_count * virtual_entry_size) {
+    return Status::Corruption(what + " has a byte size mismatch");
+  }
+  return Status::OK();
 }
 
 }  // namespace net

@@ -9,6 +9,8 @@
 #include "graph/types.h"
 #include "net/frame.h"
 #include "runtime/fault.h"
+#include "runtime/stats.h"
+#include "storage/partitioned_graph.h"
 
 namespace surfer {
 namespace net {
@@ -173,28 +175,8 @@ struct StateUpdateMsg {
 
 /// worker -> coordinator at finalize: counters and the worker's additive
 /// share of the M x M link matrix.
-struct WorkerStatsMsg {
-  uint64_t tasks_executed = 0;
-  uint64_t tasks_reexecuted = 0;
-  uint64_t messages_sent = 0;
-  uint64_t buffers_sent = 0;
-  uint64_t wire_batches_sent = 0;
-  uint64_t wire_segments_sent = 0;
-  uint64_t wire_payload_bytes = 0;
-  uint64_t wire_messages_combined = 0;
-  uint64_t wire_flush_size = 0;
-  uint64_t wire_flush_deadline = 0;
-  uint64_t wire_flush_stage_end = 0;
-  uint64_t pool_buffers_acquired = 0;
-  uint64_t pool_buffers_reused = 0;
-  uint64_t refetch_bytes = 0;
-  uint64_t tcp_bytes_sent = 0;
-  uint64_t tcp_frames_sent = 0;
-  uint64_t resend_bytes = 0;
-  uint64_t replication_bytes = 0;
-  uint64_t combine_messages_scattered = 0;
-  uint64_t frontier_vertices_skipped = 0;
-  uint64_t combine_scatter_micros = 0;  ///< scatter seconds * 1e6, truncated
+struct WorkerStatsMsg : runtime::EngineCounters {
+  double combine_scatter_seconds = 0.0;  ///< combine regroup scatter time
   uint64_t peak_rss_bytes = 0;
   uint64_t heartbeats_sent = 0;
   uint8_t clock_synced = 0;  ///< handshake ping exchange ran on every link
@@ -239,6 +221,15 @@ Result<PlacementMsg> DecodePlacement(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeRound(const RoundMsg& msg);
 Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload);
 
+/// Checks a decoded round before a worker acts on it: a known kind, an
+/// iteration in [0, iterations), one `alive` entry per machine, one
+/// `exec`/`route`/`reexec` entry per partition, every machine id
+/// < num_machines or kInvalidMachine, and no transfer round routing any
+/// partition to kInvalidMachine. Corruption naming the first violation
+/// otherwise.
+Status ValidateRound(const RoundMsg& round, uint32_t num_partitions,
+                     uint32_t num_machines, int iterations);
+
 std::vector<uint8_t> EncodeTaskDone(const TaskDoneMsg& msg);
 Result<TaskDoneMsg> DecodeTaskDone(const std::vector<uint8_t>& payload);
 
@@ -268,6 +259,27 @@ Result<FinalStateMsg> DecodeFinalState(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeFinalVirtual(const FinalVirtualMsg& msg);
 Result<FinalVirtualMsg> DecodeFinalVirtual(const std::vector<uint8_t>& payload);
+
+/// The shape of a received block of vertex states: a replication update
+/// (StateUpdateMsg, which also carries virtual outputs) or a final state.
+struct StateBlock {
+  uint32_t partition = 0;
+  uint32_t begin = 0;
+  uint32_t count = 0;
+  size_t state_bytes = 0;
+  uint64_t virtual_count = 0;
+  size_t virtual_bytes = 0;
+};
+
+/// Checks that a state block covers exactly the partition it names: the
+/// partition exists in `graph`, begin/count equal its vertex range,
+/// state_bytes is count states of `state_size` bytes, and virtual_bytes is
+/// virtual_count entries of `virtual_entry_size` bytes. Run before any byte
+/// is applied, so a block can neither overwrite a neighbour's range nor be
+/// applied in part. Corruption naming the mismatch otherwise.
+Status ValidateStateBlock(const StateBlock& block,
+                          const PartitionedGraph& graph, size_t state_size,
+                          size_t virtual_entry_size);
 
 }  // namespace net
 }  // namespace surfer

@@ -31,27 +31,8 @@ constexpr size_t kRoundHistory = 16;
 constexpr size_t kMinRoundHistory = 3;
 
 void AddStats(WorkerStatsMsg& into, const WorkerStatsMsg& from) {
-  into.tasks_executed += from.tasks_executed;
-  into.tasks_reexecuted += from.tasks_reexecuted;
-  into.messages_sent += from.messages_sent;
-  into.buffers_sent += from.buffers_sent;
-  into.wire_batches_sent += from.wire_batches_sent;
-  into.wire_segments_sent += from.wire_segments_sent;
-  into.wire_payload_bytes += from.wire_payload_bytes;
-  into.wire_messages_combined += from.wire_messages_combined;
-  into.wire_flush_size += from.wire_flush_size;
-  into.wire_flush_deadline += from.wire_flush_deadline;
-  into.wire_flush_stage_end += from.wire_flush_stage_end;
-  into.pool_buffers_acquired += from.pool_buffers_acquired;
-  into.pool_buffers_reused += from.pool_buffers_reused;
-  into.refetch_bytes += from.refetch_bytes;
-  into.tcp_bytes_sent += from.tcp_bytes_sent;
-  into.tcp_frames_sent += from.tcp_frames_sent;
-  into.resend_bytes += from.resend_bytes;
-  into.replication_bytes += from.replication_bytes;
-  into.combine_messages_scattered += from.combine_messages_scattered;
-  into.frontier_vertices_skipped += from.frontier_vertices_skipped;
-  into.combine_scatter_micros += from.combine_scatter_micros;
+  into.Add(from);
+  into.combine_scatter_seconds += from.combine_scatter_seconds;
   into.heartbeats_sent += from.heartbeats_sent;
   for (size_t i = 0;
        i < from.link_bytes.size() && i < into.link_bytes.size(); ++i) {
@@ -81,7 +62,6 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
   CoordinatorOutcome out;
   out.totals.link_bytes.assign(
       static_cast<size_t>(params_.num_machines) * params_.num_machines, 0);
-  out.worker_reports.assign(params_.num_processes, "");
   out.worker_stats.assign(params_.num_processes, WorkerStatsMsg{});
 
   Status st = Spawn();
@@ -98,7 +78,6 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
   if (!st.ok()) {
     return st;
   }
-  out.alive = alive_machines_;
   out.machine_failures = machine_failures_;
   out.stragglers_flagged = stragglers_flagged_;
   return out;
@@ -647,11 +626,6 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
           SURFER_ASSIGN_OR_RETURN(FinalVirtualMsg virtuals,
                                   DecodeFinalVirtual(frame->payload));
           out->virtuals.push_back(std::move(virtuals));
-          break;
-        }
-        case FrameType::kWorkerReport: {
-          out->worker_reports[i].assign(frame->payload.begin(),
-                                        frame->payload.end());
           break;
         }
         case FrameType::kFinalDone:

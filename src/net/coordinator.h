@@ -53,14 +53,11 @@ struct CoordinatorOutcome {
   uint32_t machine_failures = 0;
   uint64_t rounds = 0;           ///< BSP rounds driven (>= 2 per iteration)
   uint64_t recovery_rounds = 0;  ///< re-assignment + resend rounds
-  std::vector<uint8_t> alive;    ///< final per-machine liveness
   /// Per-partition final states as received, possibly several versions of
   /// the same partition from different replica holders; the executor keeps
   /// the highest-version copy.
   std::vector<FinalStateMsg> states;
   std::vector<FinalVirtualMsg> virtuals;
-  /// Per-process run-report JSON (empty string for processes that died).
-  std::vector<std::string> worker_reports;
   /// Peak worker-process RSS reported at finalize (max across processes).
   uint64_t peak_worker_rss_bytes = 0;
   /// Per-process finalize stats, unsummed (default-constructed for dead

@@ -29,8 +29,8 @@
 #include "propagation/app_traits.h"
 #include "propagation/config.h"
 #include "propagation/partition_kernel.h"
-#include "runtime/combine_plan.h"
 #include "runtime/fault.h"
+#include "runtime/machine_host.h"
 #include "runtime/report.h"
 #include "runtime/stats.h"
 #include "runtime/timeline.h"
@@ -107,36 +107,18 @@ namespace detail {
 /// generations, current RSS — are the caller's to fill.
 inline runtime::RuntimeStats ToRuntimeStats(const WorkerStatsMsg& counters) {
   runtime::RuntimeStats stats;
-  stats.tasks_executed = counters.tasks_executed;
-  stats.tasks_reexecuted = counters.tasks_reexecuted;
-  stats.messages_sent = counters.messages_sent;
-  stats.buffers_sent = counters.buffers_sent;
-  stats.wire_batches_sent = counters.wire_batches_sent;
-  stats.wire_segments_sent = counters.wire_segments_sent;
-  stats.wire_payload_bytes = counters.wire_payload_bytes;
-  stats.wire_messages_combined = counters.wire_messages_combined;
-  stats.wire_flush_size = counters.wire_flush_size;
-  stats.wire_flush_deadline = counters.wire_flush_deadline;
-  stats.wire_flush_stage_end = counters.wire_flush_stage_end;
-  stats.pool_buffers_acquired = counters.pool_buffers_acquired;
-  stats.pool_buffers_reused = counters.pool_buffers_reused;
-  stats.refetch_bytes = counters.refetch_bytes;
-  stats.tcp_bytes_sent = counters.tcp_bytes_sent;
-  stats.tcp_frames_sent = counters.tcp_frames_sent;
-  stats.resend_bytes = counters.resend_bytes;
-  stats.replication_bytes = counters.replication_bytes;
-  stats.combine_messages_scattered = counters.combine_messages_scattered;
-  stats.frontier_vertices_skipped = counters.frontier_vertices_skipped;
-  stats.combine_scatter_seconds =
-      static_cast<double>(counters.combine_scatter_micros) / 1e6;
+  static_cast<runtime::EngineCounters&>(stats) = counters;
+  stats.combine_scatter_seconds = counters.combine_scatter_seconds;
   stats.link_bytes = counters.link_bytes;
   stats.peak_rss_bytes = counters.peak_rss_bytes;
   return stats;
 }
 
-/// The worker-process side of the distributed engine: hosts the machines
-/// m % P == proc, executes their rounds as directed by the coordinator, and
-/// exchanges WireBatch data frames with the other workers over the TCP mesh.
+/// The worker-process side of the distributed engine: one MachineHost
+/// (runtime/machine_host.h) for the machines m % P == proc runs their
+/// rounds as directed by the coordinator; this class is its TCP Link (local
+/// short-circuit, retention for replay, the mesh) plus the control loop,
+/// recovery (resend rounds), state replication, heartbeats and finalize.
 ///
 /// Bit-identity argument: the per-partition work is the shared
 /// PartitionKernel, whose header gives the ordering argument. Its FIFO-link
@@ -145,7 +127,7 @@ inline runtime::RuntimeStats ToRuntimeStats(const WorkerStatsMsg& counters) {
 /// because replayed retained segments keep their original src machine and
 /// relative order, and re-executed transfer tasks go back through a
 /// WireStager (identical merge sequence) against *iteration-start* states
-/// (see next_states_ below).
+/// (PartitionTable::states).
 template <typename App>
   requires DistributableApp<App>
 class DistributedWorker {
@@ -188,7 +170,9 @@ class DistributedWorker {
       switch (frame->type) {
         case FrameType::kRound: {
           Result<RoundMsg> round = DecodeRound(frame->payload);
-          if (!round.ok()) {
+          if (!round.ok() || !ValidateRound(*round, num_partitions_,
+                                            num_machines_, config_.iterations)
+                                  .ok()) {
             Die();
           }
           ExecuteRound(*round);
@@ -208,9 +192,7 @@ class DistributedWorker {
 
  private:
   using Kernel = PartitionKernel<App>;
-  using InboxChunk = typename Kernel::InboxChunk;
-
-  Kernel kernel() const { return Kernel(app_, *graph_); }
+  using Host = runtime::MachineHost<App>;
 
   static double NowUnixUs() {
     return static_cast<double>(
@@ -218,6 +200,29 @@ class DistributedWorker {
             std::chrono::system_clock::now().time_since_epoch())
             .count());
   }
+
+  /// The host's Link over the TCP mesh, for one round.
+  struct TcpLink {
+    DistributedWorker* worker;
+    const RoundMsg* round;
+
+    double Send(runtime::WireBatch&& batch) {
+      worker->Deliver(std::move(batch), /*retain=*/true);
+      return 0.0;
+    }
+    void Pump() { worker->PumpMailbox(); }
+    void TaskDone(PartitionId p, MachineId m) {
+      worker->TaskDone(p, m, *round);
+    }
+    /// Planned process death. Completed tasks' output survives the crash
+    /// in the paper's model, so the exit waits until every sent frame is
+    /// acknowledged as *consumed* by its peer — closing earlier could RST
+    /// away kernel-buffered output.
+    [[noreturn]] void Kill(MachineId) {
+      (void)worker->transport_.WaitDataAcked();
+      worker->Die();
+    }
+  };
 
   [[noreturn]] void Die() {
     transport_.CloseAll();
@@ -250,39 +255,32 @@ class DistributedWorker {
         static_cast<size_t>(num_partitions_) * placement.replication) {
       return false;
     }
+    std::vector<MachineId> primaries(num_partitions_);
     for (PartitionId p = 0; p < num_partitions_; ++p) {
       for (uint32_t r = 0; r < placement.replication; ++r) {
-        replicas_[p].push_back(
+        const MachineId m =
             placement.replicas[static_cast<size_t>(p) * placement.replication +
-                               r]);
+                               r];
+        if (m >= num_machines_ && (r == 0 || m != kInvalidMachine)) {
+          return false;  // only a backup may be kInvalidMachine
+        }
+        replicas_[p].push_back(m);
       }
+      primaries[p] = replicas_[p][0];
     }
-    for (MachineId m = 0; m < num_machines_; ++m) {
-      if (HostedHere(m)) {
-        hosted_.push_back(m);
-      }
-    }
-    wire_combine_ = config_.local_combination && MergeableApp<App> &&
-                    options_.wire.wire_combine;
     pool_ = std::make_unique<runtime::WireBufferPool>();
-    for (MachineId m : hosted_) {
-      stagers_.emplace(
-          std::piecewise_construct, std::forward_as_tuple(m),
-          std::forward_as_tuple(&app_, options_.wire, pool_.get(), m,
-                                num_machines_, wire_combine_));
-    }
-
-    states_ = kernel().InitStates();
-    // Deferred-commit double buffer: transfer tasks (including recovery
-    // re-execution, which can run *after* some combines of the same
-    // iteration) always read states_, the value set at iteration start;
-    // combine results land in next_states_ and commit at the next iteration
-    // boundary. In-place mutation would poison re-executed transfers.
-    next_states_ = states_;
-    dirty_.assign(num_partitions_, 0);
+    table_ = std::make_unique<runtime::PartitionTable<App>>(
+        graph_, Kernel(app_, *graph_).InitStates(), std::move(primaries));
+    host_ = std::make_unique<Host>(
+        typename Host::Env{.app = &app_,
+                           .config = config_,
+                           .wire = options_.wire,
+                           .fault = &fault_,
+                           .pool = pool_.get(),
+                           .table = table_.get(),
+                           .num_machines = num_machines_},
+        proc_, num_procs_);
     state_version_.assign(num_partitions_, -1);
-    inboxes_.assign(num_partitions_, {});
-    stage_tasks_done_.assign(num_machines_, 0);
     counters_.link_bytes.assign(
         static_cast<size_t>(num_machines_) * num_machines_, 0);
 
@@ -344,7 +342,7 @@ class DistributedWorker {
         round.iteration != started_iteration_) {
       // First transfer round of a new iteration: commit last iteration's
       // combine results, drop last iteration's retention, advance the app.
-      CommitPendingStates();
+      table_->Commit();
       started_iteration_ = round.iteration;
       if constexpr (IterationAwareApp<App>) {
         app_.OnIterationStart(round.iteration);
@@ -354,77 +352,35 @@ class DistributedWorker {
       }
       retained_.clear();
     }
-    const RoundKind norm =
-        round.kind == RoundKind::kResend ? RoundKind::kCombine : round.kind;
-    if (stage_iteration_ != round.iteration || stage_kind_ != norm) {
-      stage_iteration_ = round.iteration;
-      stage_kind_ = norm;
-      std::fill(stage_tasks_done_.begin(), stage_tasks_done_.end(), 0u);
-    }
     if (round.kind == RoundKind::kResend) {
       ExecuteResend(round);
     } else {
-      ExecuteNormal(round);
-    }
-  }
-
-  void ExecuteNormal(const RoundMsg& round) {
-    const runtime::RuntimeStage stage = round.kind == RoundKind::kTransfer
-                                            ? runtime::RuntimeStage::kTransfer
-                                            : runtime::RuntimeStage::kCombine;
-    for (MachineId m : hosted_) {
-      for (PartitionId p = 0; p < num_partitions_; ++p) {
-        if (round.exec[p] != m) {
-          continue;
-        }
-        if (fault_.ShouldKill(m, round.iteration, stage,
-                              stage_tasks_done_[m])) {
-          FaultExit();
-        }
-        if (round.kind == RoundKind::kTransfer) {
-          RunTransferTask(p, m, round);
-        } else {
-          RunCombineTask(p, m, round);
-        }
-        ++stage_tasks_done_[m];
-        ++counters_.tasks_executed;
-        if (round.recovery != 0) {
-          ++counters_.tasks_reexecuted;
-        }
-        SendTaskDone(p, m, round);
-        if (round.kind == RoundKind::kTransfer) {
-          stagers_.at(m).FlushExpired([&](runtime::WireBatch&& batch) {
-            return ShipBatch(std::move(batch), /*resend=*/false,
-                             /*retain=*/true);
-          });
-        }
-        PumpMailbox();
-      }
-      if (round.kind == RoundKind::kTransfer) {
-        stagers_.at(m).FlushAll([&](runtime::WireBatch&& batch) {
-          return ShipBatch(std::move(batch), /*resend=*/false,
-                           /*retain=*/true);
-        });
-      }
+      TcpLink link{this, &round};
+      host_->RunRound(link, round.iteration,
+                      round.kind == RoundKind::kTransfer
+                          ? runtime::RuntimeStage::kTransfer
+                          : runtime::RuntimeStage::kCombine,
+                      round.recovery != 0, round.exec, round.route);
     }
     FinishRound(round);
   }
 
-  /// Recovery-only round: rebuild the inboxes of the partitions in
-  /// round.exec (their previous holders died) by replaying retained batches
-  /// and re-executing the transfer tasks whose producer died with its
-  /// retained output.
+  /// Recovery-only round of a combine stage: rebuild the inboxes of the
+  /// partitions in round.exec (their previous holders died) by replaying
+  /// retained batches and re-executing the transfer tasks whose producer
+  /// died with its retained output.
   void ExecuteResend(const RoundMsg& round) {
+    host_->SetStep(round.iteration, runtime::RuntimeStage::kCombine);
     // Clear before the first mailbox pop of this round: replayed frames that
     // raced ahead of our own replay work sit safely in the transport mailbox
     // until PumpMailbox runs (pumps only happen inside rounds).
     for (PartitionId p = 0; p < num_partitions_; ++p) {
       if (round.exec[p] != kInvalidMachine && HostedHere(round.exec[p])) {
-        inboxes_[p].clear();
+        host_->ClearInbox(p);
       }
     }
     ReplayRetained(round);
-    for (MachineId m : hosted_) {
+    for (MachineId m : host_->hosted()) {
       for (PartitionId q = 0; q < num_partitions_; ++q) {
         if (round.reexec[q] != m) {
           continue;
@@ -436,7 +392,6 @@ class DistributedWorker {
         PumpMailbox();
       }
     }
-    FinishRound(round);
   }
 
   void FinishRound(const RoundMsg& round) {
@@ -487,9 +442,7 @@ class DistributedWorker {
     hb.round_seq = current_round_seq_;
     hb.mailbox_frames = transport_.ApproxMailboxDepth();
     hb.inflight_bytes = transport_.InflightBytes();
-    for (const auto& [m, stager] : stagers_) {
-      hb.staged_wire_bytes += stager.OpenBytes();
-    }
+    hb.staged_wire_bytes = host_->OpenBytes();
     const obs::MemoryUsage memory = obs::ReadMemoryUsage();
     hb.rss_bytes = memory.available ? memory.rss_bytes : 0;
     hb.barrier_waiting = barrier_waiting_ ? 1 : 0;
@@ -498,6 +451,23 @@ class DistributedWorker {
             .ok()) {
       ++counters_.heartbeats_sent;
     }
+  }
+
+  /// The Link's TaskDone. A finished Combine stamps p's state version,
+  /// records its virtual outputs and, in fault-tolerant runs, replicates
+  /// the state *before* TASK_DONE: once the coordinator marks p done, a
+  /// replica holder must already be able to take over from this state.
+  void TaskDone(PartitionId p, MachineId m, const RoundMsg& round) {
+    if (round.kind == RoundKind::kCombine) {
+      state_version_[p] = round.iteration;
+      for (const auto& [id, output] : table_->virtual_results[p]) {
+        virtual_acc_[id] = {round.iteration, output};
+      }
+      if (fault_tolerant_) {
+        ReplicateState(p, round.iteration);
+      }
+    }
+    SendTaskDone(p, m, round);
   }
 
   void SendTaskDone(PartitionId p, MachineId m, const RoundMsg& round) {
@@ -514,54 +484,41 @@ class DistributedWorker {
 
   // -------------------------------------------------------------- data plane
 
-  /// Books and delivers one sealed batch. Local destinations (a machine this
-  /// process hosts) short-circuit into the inbox; remote ones go over the
-  /// mesh. Normal sends are booked into the link matrix (priced bytes, the
-  /// quantity that reconciles with the analytic model) and retained for
-  /// replay in fault-tolerant runs; resend traffic is booked separately.
-  double ShipBatch(runtime::WireBatch&& batch, bool resend, bool retain) {
-    if (!resend) {
-      counters_.link_bytes[static_cast<size_t>(batch.src_machine) *
-                               num_machines_ +
-                           batch.dst_machine] += batch.priced_bytes;
-      counters_.messages_sent += batch.num_messages;
-      ++counters_.buffers_sent;
-    } else {
-      counters_.resend_bytes += batch.payload.size();
-    }
+  /// Delivers one sealed batch, retained for replay in fault-tolerant runs
+  /// when asked. Local destinations (a machine this process hosts)
+  /// short-circuit into the host; remote ones go over the mesh.
+  void Deliver(runtime::WireBatch&& batch, bool retain) {
     if (retain && fault_tolerant_) {
       retained_.push_back(batch);  // deep copy; replayed if a holder dies
     }
     const uint32_t dst_proc = batch.dst_machine % num_procs_;
     if (dst_proc == proc_) {
-      ApplyBatch(batch);
+      if (!host_->Receive(batch).ok()) {
+        Die();
+      }
     } else {
       (void)transport_.SendPeer(dst_proc, FrameType::kData,
                                 EncodeWireBatch(batch));
     }
     pool_->Release(std::move(batch.payload));
-    return 0.0;
   }
 
-  /// Decodes a batch into the inboxes. The bytes may come from a peer
-  /// process, so a malformed batch is a protocol failure.
-  void ApplyBatch(const runtime::WireBatch& batch) {
-    runtime::WireBatchReader<Message> reader(batch);
-    const Status status = kernel().Decode(
-        reader, batch.src_machine, chunk_pool_,
-        [&](PartitionId dst, InboxChunk&& chunk) {
-          inboxes_[dst].push_back(std::move(chunk));
-        });
-    if (!status.ok()) {
-      Die();
-    }
+  /// Recovery traffic: booked as resend bytes, not into the link matrix
+  /// (the link bytes already counted it once).
+  void Resend(runtime::WireBatch&& batch, bool retain) {
+    counters_.resend_bytes += batch.payload.size();
+    Deliver(std::move(batch), retain);
   }
 
+  /// Hands every mailbox batch to the host and applies state updates. The
+  /// bytes come from peer processes, so a malformed batch or update is a
+  /// protocol failure.
   void PumpMailbox() {
     runtime::WireBatch batch;
     while (transport_.TryPopData(&batch)) {
-      ApplyBatch(batch);
-      batch = runtime::WireBatch{};
+      if (!host_->Receive(batch).ok()) {
+        Die();
+      }
     }
     StateUpdateMsg update;
     while (transport_.TryPopUpdate(&update)) {
@@ -569,62 +526,27 @@ class DistributedWorker {
     }
   }
 
-  // -------------------------------------------------------------- task logic
+  // ------------------------------------------------------- state replication
 
-  void RunTransferTask(PartitionId p, MachineId m, const RoundMsg& round) {
-    kernel().RunTransfer(p, states_, streams_);
-    stagers_.at(m).StageStreams(
-        p, streams_, [&](PartitionId dst) { return round.route[dst]; },
-        [&](runtime::WireBatch&& batch) {
-          return ShipBatch(std::move(batch), /*resend=*/false,
-                           /*retain=*/true);
-        });
-  }
-
-  void RunCombineTask(PartitionId p, MachineId m, const RoundMsg& round) {
-    const Kernel kernel = this->kernel();
+  /// Names partition p in `msg` and packs its range of `states` as raw
+  /// bytes (the shape ValidateStateBlock checks on arrival).
+  template <typename Msg>
+  void PackStates(PartitionId p, const std::vector<VertexState>& states,
+                  Msg& msg) const {
     const PartitionMeta& meta = graph_->partition(p);
-    const auto inbox = kernel.Regroup(p, m, replicas_[p][0], combine_scratch_,
-                                      inboxes_[p], chunk_pool_, combine_);
-    counters_.refetch_bytes += inbox.refetch_bytes;
-    counters_.combine_messages_scattered += inbox.scattered;
-    combine_scatter_seconds_ += inbox.scatter_seconds;
-
-    // Combine in place on next_states_, seeded with the iteration-start
-    // states: silent vertices skipped by frontier gating keep their value,
-    // and ReplicateState snapshots the whole range.
-    std::copy(states_.begin() + meta.begin, states_.begin() + meta.end,
-              next_states_.begin() + meta.begin);
-    counters_.frontier_vertices_skipped += kernel.RunCombine(
-        p, Kernel::Gated(config_), combine_scratch_, combine_, next_states_);
-    dirty_[p] = 1;
-    state_version_[p] = round.iteration;
-
-    std::vector<std::pair<uint64_t, VirtualOutput>> virtual_results;
-    kernel.FoldVirtuals(combine_, virtual_results);
-    for (const auto& [id, output] : virtual_results) {
-      virtual_acc_[id] = {round.iteration, output};
-    }
-    if (fault_tolerant_) {
-      // Replicate *before* TASK_DONE: once the coordinator marks p done, a
-      // replica holder must already be able to take over from this state.
-      ReplicateState(p, round.iteration, meta, virtual_results);
-    }
-  }
-
-  void ReplicateState(
-      PartitionId p, int32_t iteration, const PartitionMeta& meta,
-      const std::vector<std::pair<uint64_t, VirtualOutput>>& virtual_results) {
-    StateUpdateMsg msg;
     msg.partition = p;
-    msg.iteration = iteration;
     msg.begin = meta.begin;
     msg.count = meta.end - meta.begin;
-    msg.states.resize(static_cast<size_t>(msg.count) * sizeof(VertexState));
-    if (msg.count > 0) {
-      std::memcpy(msg.states.data(), &next_states_[meta.begin],
-                  msg.states.size());
-    }
+    const auto* first =
+        reinterpret_cast<const uint8_t*>(states.data() + meta.begin);
+    msg.states.assign(first, first + msg.count * sizeof(VertexState));
+  }
+
+  void ReplicateState(PartitionId p, int32_t iteration) {
+    StateUpdateMsg msg;
+    PackStates(p, table_->next_states, msg);
+    msg.iteration = iteration;
+    const auto& virtual_results = table_->virtual_results[p];
     msg.virtual_count = static_cast<uint32_t>(virtual_results.size());
     for (const auto& [id, output] : virtual_results) {
       runtime::AppendPod(msg.virtuals, id);
@@ -644,102 +566,66 @@ class DistributedWorker {
   }
 
   void ApplyUpdate(const StateUpdateMsg& msg) {
-    if (msg.partition >= num_partitions_ ||
-        msg.iteration <= state_version_[msg.partition]) {
-      return;
+    constexpr size_t kEntry = sizeof(uint64_t) + sizeof(VirtualOutput);
+    if (!ValidateStateBlock({msg.partition, msg.begin, msg.count,
+                             msg.states.size(), msg.virtual_count,
+                             msg.virtuals.size()},
+                            *graph_, sizeof(VertexState), kEntry)
+             .ok()) {
+      Die();
     }
-    const size_t expect = static_cast<size_t>(msg.count) * sizeof(VertexState);
-    if (msg.states.size() != expect ||
-        static_cast<size_t>(msg.begin) + msg.count > next_states_.size()) {
-      return;
+    if (msg.iteration <= state_version_[msg.partition]) {
+      return;  // stale: a newer state of p is already here
     }
     if (msg.count > 0) {
-      std::memcpy(&next_states_[msg.begin], msg.states.data(), expect);
+      std::memcpy(&table_->next_states[msg.begin], msg.states.data(),
+                  msg.states.size());
     }
-    dirty_[msg.partition] = 1;
+    table_->dirty[msg.partition] = 1;
     state_version_[msg.partition] = msg.iteration;
-    constexpr size_t kEntry = sizeof(uint64_t) + sizeof(VirtualOutput);
-    if (msg.virtuals.size() == static_cast<size_t>(msg.virtual_count) * kEntry) {
-      const uint8_t* base = msg.virtuals.data();
-      for (uint32_t i = 0; i < msg.virtual_count; ++i) {
-        const uint64_t id = runtime::ReadPod<uint64_t>(base + i * kEntry);
-        const VirtualOutput output = runtime::ReadPod<VirtualOutput>(
-            base + i * kEntry + sizeof(uint64_t));
-        virtual_acc_[id] = {msg.iteration, output};
-      }
-    }
-  }
-
-  void CommitPendingStates() {
-    for (PartitionId p = 0; p < num_partitions_; ++p) {
-      if (!dirty_[p]) {
-        continue;
-      }
-      const PartitionMeta& meta = graph_->partition(p);
-      std::copy(next_states_.begin() + meta.begin,
-                next_states_.begin() + meta.end, states_.begin() + meta.begin);
-      dirty_[p] = 0;
+    const uint8_t* base = msg.virtuals.data();
+    for (uint32_t i = 0; i < msg.virtual_count; ++i) {
+      const uint64_t id = runtime::ReadPod<uint64_t>(base + i * kEntry);
+      const VirtualOutput output = runtime::ReadPod<VirtualOutput>(
+          base + i * kEntry + sizeof(uint64_t));
+      virtual_acc_[id] = {msg.iteration, output};
     }
   }
 
   // ---------------------------------------------------------------- recovery
 
-  /// Replays every retained segment destined to a partition being rebuilt,
-  /// preserving the original producer machine and chronological order, so
-  /// the rebuilt inbox sorts into the identical sequential order.
+  /// Replays every retained segment destined to a partition being rebuilt
+  /// through a stager of its original producer machine, in retention
+  /// order, so each stream keeps its source and record order and the
+  /// rebuilt inbox sorts into the identical sequential order. The records
+  /// were merged before they were retained, so re-staging them merges
+  /// nothing and prices them as before.
   void ReplayRetained(const RoundMsg& round) {
-    if (retained_.empty()) {
-      return;
-    }
-    std::map<std::pair<MachineId, MachineId>, runtime::WireBatch> open;
-    auto ship = [&](runtime::WireBatch&& batch) {
-      if (batch.payload.empty()) {
-        pool_->Release(std::move(batch.payload));
-        return;
-      }
-      ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/false);
+    std::map<MachineId, runtime::WireStager<App>> stagers;  // by producer
+    auto send = [&](runtime::WireBatch&& batch) {
+      Resend(std::move(batch), /*retain=*/false);
+      return 0.0;
     };
-    auto fresh = [&](MachineId src, MachineId dst) {
-      runtime::WireBatch batch;
-      batch.src_machine = src;
-      batch.dst_machine = dst;
-      batch.payload = pool_->Acquire();
-      return batch;
-    };
+    typename runtime::WireBatchReader<Message>::Segment segment;
     for (const runtime::WireBatch& batch : retained_) {
       runtime::WireBatchReader<Message> reader(batch);
-      typename runtime::WireBatchReader<Message>::Segment segment;
-      // Segments are copied verbatim; a malformed tail is dropped rather
-      // than misparsed.
-      for (size_t begin = 0; reader.NextInto(segment).value_or(false);
-           begin = reader.offset()) {
-        const runtime::WireSegmentHeader& header = segment.header;
-        const MachineId target = header.dst_partition < round.route.size()
-                                     ? round.route[header.dst_partition]
-                                     : kInvalidMachine;
-        if (target == kInvalidMachine) {
-          continue;
+      auto it = stagers.find(batch.src_machine);
+      if (it == stagers.end()) {
+        it = stagers.emplace(batch.src_machine,
+                             host_->MakeStager(batch.src_machine)).first;
+      }
+      // Our own retained bytes: a malformed tail is dropped, not misparsed.
+      while (reader.NextInto(segment).value_or(false)) {
+        const PartitionId dst = segment.header.dst_partition;
+        if (dst < round.route.size() && round.route[dst] != kInvalidMachine) {
+          it->second.StageTask(segment.header.src_partition, dst,
+                               round.route[dst], segment.real,
+                               segment.virtuals, send);
         }
-        auto [it, inserted] =
-            open.try_emplace(std::make_pair(batch.src_machine, target));
-        if (inserted) {
-          it->second = fresh(batch.src_machine, target);
-        }
-        runtime::WireBatch& out = it->second;
-        if (!out.payload.empty() &&
-            out.payload.size() + (reader.offset() - begin) >
-                options_.wire.max_batch_bytes) {
-          ship(std::exchange(out, fresh(batch.src_machine, target)));
-        }
-        out.payload.insert(out.payload.end(), batch.payload.begin() + begin,
-                           batch.payload.begin() + reader.offset());
-        out.num_segments += 1;
-        out.num_messages += header.count;
-        out.priced_bytes += header.priced_bytes;
       }
     }
-    for (auto& [key, batch] : open) {
-      ship(std::move(batch));
+    for (auto& [m, stager] : stagers) {
+      stager.FlushAll(send);
     }
   }
 
@@ -750,13 +636,12 @@ class DistributedWorker {
   /// later death in this same iteration still finds a complete copy here.
   /// Two stagers keep rebuilt and retain-only streams in separate batches.
   void ReexecTransfer(PartitionId q, MachineId m, const RoundMsg& round) {
-    kernel().RunTransfer(q, states_, streams_);
-    runtime::WireStager<App> send_stager(&app_, options_.wire, pool_.get(), m,
-                                         num_machines_, wire_combine_);
-    runtime::WireStager<App> retain_stager(&app_, options_.wire, pool_.get(),
-                                           m, num_machines_, wire_combine_);
+    typename Kernel::Streams& streams = host_->Transfer(q);
+    runtime::WireStager<App> send_stager = host_->MakeStager(m);
+    runtime::WireStager<App> retain_stager = host_->MakeStager(m);
     auto send = [&](runtime::WireBatch&& batch) {
-      return ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/true);
+      Resend(std::move(batch), /*retain=*/true);
+      return 0.0;
     };
     auto retain_only = [&](runtime::WireBatch&& batch) {
       retained_.push_back(batch);
@@ -764,8 +649,8 @@ class DistributedWorker {
       return 0.0;
     };
     for (PartitionId dst = 0; dst < num_partitions_; ++dst) {
-      auto& real = streams_.real[dst];
-      auto& virtuals = streams_.virtuals[dst];
+      auto& real = streams.real[dst];
+      auto& virtuals = streams.virtuals[dst];
       if (real.empty() && virtuals.empty()) {
         continue;
       }
@@ -783,30 +668,11 @@ class DistributedWorker {
 
   // ------------------------------------------------------------------- exits
 
-  /// Planned process death (fault plan hit). Completed tasks' output
-  /// survives the crash in the paper's model, so staged batches flush and
-  /// the exit waits until every sent frame is acknowledged as *consumed* by
-  /// its peer — closing earlier could RST away kernel-buffered output.
-  [[noreturn]] void FaultExit() {
-    for (auto& [m, stager] : stagers_) {
-      stager.FlushAll([&](runtime::WireBatch&& batch) {
-        return ShipBatch(std::move(batch), /*resend=*/false, /*retain=*/true);
-      });
-    }
-    (void)transport_.WaitDataAcked();
-    transport_.CloseAll();
-    ::_exit(2);
-  }
-
-  /// SIGTERM: flush staged batches, persist run report and telemetry, then
-  /// exit cleanly. The coordinator treats the EOF like any machine death and
-  /// recovers hosted partitions on their replicas.
+  /// SIGTERM: persist run report and telemetry, then exit cleanly. Rounds
+  /// end with every batch sealed, so nothing is left staged. The
+  /// coordinator treats the EOF like any machine death and recovers hosted
+  /// partitions on their replicas.
   [[noreturn]] void GracefulExit() {
-    for (auto& [m, stager] : stagers_) {
-      stager.FlushAll([&](runtime::WireBatch&& batch) {
-        return ShipBatch(std::move(batch), /*resend=*/false, /*retain=*/true);
-      });
-    }
     (void)transport_.WaitDataAcked();
     WriteArtifacts();
     transport_.CloseAll();
@@ -816,7 +682,7 @@ class DistributedWorker {
   // ---------------------------------------------------------------- finalize
 
   void Finalize() {
-    CommitPendingStates();
+    table_->Commit();
     // The coordinator's finalize drain expects no control traffic after
     // kFinalDone; stop heartbeating for good before the stats go out.
     heartbeat_period_ms_ = 0;
@@ -831,17 +697,9 @@ class DistributedWorker {
       if (state_version_[p] < 0) {
         continue;
       }
-      const PartitionMeta& meta = graph_->partition(p);
       FinalStateMsg msg;
-      msg.partition = p;
+      PackStates(p, table_->states, msg);
       msg.version = state_version_[p];
-      msg.begin = meta.begin;
-      msg.count = meta.end - meta.begin;
-      msg.states.resize(static_cast<size_t>(msg.count) * sizeof(VertexState));
-      if (msg.count > 0) {
-        std::memcpy(msg.states.data(), &states_[meta.begin],
-                    msg.states.size());
-      }
       if (!transport_
                .SendControl(FrameType::kFinalState, EncodeFinalState(msg))
                .ok()) {
@@ -863,37 +721,29 @@ class DistributedWorker {
         Die();
       }
     }
-    const std::string report = BuildReport().Write(2);
-    std::vector<uint8_t> report_bytes(report.begin(), report.end());
-    if (!transport_.SendControl(FrameType::kWorkerReport, report_bytes).ok()) {
-      Die();
-    }
     WriteArtifacts();
     if (!transport_.SendControl(FrameType::kFinalDone).ok()) {
       Die();
     }
   }
 
-  /// This worker's counters, without the per-link records (draining those
-  /// is BuildStatsMsg's job, done once at finalize).
-  WorkerStatsMsg Counters() const {
+  /// The counters this worker keeps itself plus the pool, transport and
+  /// memory figures: everything but the host's share and the per-link
+  /// records.
+  WorkerStatsMsg OwnCounters() const {
     WorkerStatsMsg stats = counters_;
-    for (const auto& [m, stager] : stagers_) {
-      runtime::AccumulateStagerStats(stager.stats(), stats);
-    }
     const runtime::WireBufferPool::Stats pool = pool_->stats();
     stats.pool_buffers_acquired = pool.acquires;
     stats.pool_buffers_reused = pool.reuses;
     stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
     stats.tcp_frames_sent = transport_.tcp_frames_sent();
-    stats.combine_scatter_micros =
-        static_cast<uint64_t>(combine_scatter_seconds_ * 1e6);
     stats.peak_rss_bytes = obs::ReadMemoryUsage().peak_rss_bytes;
     return stats;
   }
 
   WorkerStatsMsg BuildStatsMsg() {
-    WorkerStatsMsg stats = Counters();
+    WorkerStatsMsg stats = OwnCounters();
+    host_->FoldCounters(stats);
     stats.clock_synced = transport_.clock_synced() ? 1 : 0;
     stats.clock_offset_us = transport_.ClockOffsets();
     stats.clock_uncertainty_us = transport_.ClockUncertainties();
@@ -911,41 +761,43 @@ class DistributedWorker {
   }
 
   runtime::RuntimeStats LocalStats() {
-    runtime::RuntimeStats stats = ToRuntimeStats(Counters());
-    stats.num_workers = static_cast<uint32_t>(hosted_.size());
+    runtime::RuntimeStats stats = ToRuntimeStats(OwnCounters());
+    host_->FoldCounters(stats);
+    host_->FoldTimeline(stats.timeline);
+    stats.num_workers = static_cast<uint32_t>(host_->hosted().size());
     stats.num_machines = num_machines_;
     stats.num_processes = num_procs_;
     stats.iterations = config_.iterations;
-    stats.combine_scatter_seconds = combine_scatter_seconds_;
-    for (const auto& [m, stager] : stagers_) {
-      stats.batch_fill.Merge(stager.stats().batch_fill);
-    }
     stats.telemetry_samples = telemetry_->samples_taken();
     stats.telemetry_samples_dropped = telemetry_->total_dropped();
     stats.rss_bytes = obs::ReadMemoryUsage().rss_bytes;
     return stats;
   }
 
+  /// This process's run report: its runtime counters and the hosted
+  /// machines' superstep timeline.
   obs::JsonValue BuildReport() {
     obs::RunReportOptions report_options;
     report_options.name = "surfer_dist_worker_" + std::to_string(proc_);
     std::string machines;
-    for (MachineId m : hosted_) {
+    for (MachineId m : host_->hosted()) {
       machines += (machines.empty() ? "" : ",") + std::to_string(m);
     }
     report_options.notes = "distributed worker process " +
                            std::to_string(proc_) + "/" +
                            std::to_string(num_procs_) + " hosting machines [" +
                            machines + "]";
-    const obs::JsonValue runtime_block =
-        runtime::RuntimeStatsToJson(LocalStats());
+    const runtime::RuntimeStats stats = LocalStats();
+    const obs::JsonValue runtime_block = runtime::RuntimeStatsToJson(stats);
+    const obs::JsonValue timeline_block =
+        runtime::TimelineToJson(stats.timeline);
     obs::JsonValue telemetry_block;
     const bool have_telemetry = telemetry_->enabled();
     if (have_telemetry) {
       telemetry_block = telemetry_->ToJson();
     }
     return obs::BuildRunReport(report_options, nullptr, nullptr, tracer_.get(),
-                               &runtime_block, nullptr,
+                               &runtime_block, &timeline_block,
                                have_telemetry ? &telemetry_block : nullptr);
   }
 
@@ -996,38 +848,20 @@ class DistributedWorker {
   uint32_t num_partitions_ = 0;
   uint32_t num_procs_ = 1;
   bool fault_tolerant_ = false;
-  bool wire_combine_ = false;
   runtime::FaultController fault_;
   std::vector<std::vector<MachineId>> replicas_;
-  std::vector<MachineId> hosted_;
   std::unique_ptr<runtime::WireBufferPool> pool_;
-  std::map<MachineId, runtime::WireStager<App>> stagers_;
+  std::unique_ptr<runtime::PartitionTable<App>> table_;
+  std::unique_ptr<Host> host_;
 
-  /// Committed states (iteration-start view, read by transfer tasks) and the
-  /// in-flight combine results of the current iteration (see Setup).
-  std::vector<VertexState> states_;
-  std::vector<VertexState> next_states_;
-  std::vector<uint8_t> dirty_;            ///< partition combined/updated
-  std::vector<int32_t> state_version_;    ///< iteration of last combine, -1 none
-  std::vector<std::vector<InboxChunk>> inboxes_;
-  /// Kernel scratch: transfer streams, the regroup plan, combine buffers
-  /// and the recycled-chunk freelist. The worker loop runs one task at a
-  /// time, so one of each serves every hosted partition.
-  typename Kernel::Streams streams_;
-  runtime::CombineScratch combine_scratch_;
-  typename Kernel::CombineBuffers combine_;
-  typename Kernel::ChunkPool chunk_pool_;
+  std::vector<int32_t> state_version_;  ///< iteration of last combine, -1 none
   /// id -> (iteration of last update, output); the coordinator-side merge
   /// keeps the max-iteration entry across processes.
   std::map<uint64_t, std::pair<int32_t, VirtualOutput>> virtual_acc_;
   /// Normal sends of the current iteration (deep copies), replayed when an
   /// inbox holder dies. Cleared at each iteration boundary.
   std::vector<runtime::WireBatch> retained_;
-
   int started_iteration_ = -1;
-  int stage_iteration_ = -1;
-  RoundKind stage_kind_ = RoundKind::kResend;
-  std::vector<uint32_t> stage_tasks_done_;
 
   /// Health-plane state (main thread only). current_* mirror the round in
   /// flight for heartbeat snapshots; round_info_ maps round seq to
@@ -1045,11 +879,9 @@ class DistributedWorker {
   uint32_t stall_ms_ = 0;
   bool stalled_ = false;
 
-  /// Counters this worker maintains itself (tasks, sends, refetch and
-  /// resend bytes, combine counts, link matrix, heartbeats); Counters()
-  /// completes them with the stager, pool and transport figures.
+  /// Counters this worker maintains itself (recovery tasks, resend and
+  /// replication bytes, heartbeats); the host keeps the rest.
   WorkerStatsMsg counters_;
-  double combine_scatter_seconds_ = 0.0;
 
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::TelemetryRecorder> telemetry_;
@@ -1121,24 +953,11 @@ class DistributedExecutor {
 
   const std::vector<VertexState>& states() const { return states_; }
 
-  const VertexState& StateOfOriginal(VertexId original) const {
-    return states_[graph_->encoding().ToEncoded(original)];
-  }
-
   const std::map<uint64_t, VirtualOutput>& virtual_outputs() const {
     return virtual_outputs_;
   }
 
   const runtime::RuntimeStats& stats() const { return stats_; }
-
-  /// Machine liveness after the run (all ones without injected faults).
-  const std::vector<uint8_t>& alive() const { return alive_; }
-
-  /// Per-process run-report JSON collected over the control plane (empty
-  /// string for processes that died before finalize).
-  const std::vector<std::string>& worker_reports() const {
-    return worker_reports_;
-  }
 
   /// The merged report's "cluster" block: coordinator-clock round timing,
   /// offset-corrected per-link latency samples, the per-superstep critical
@@ -1177,18 +996,14 @@ class DistributedExecutor {
     states_ = PartitionKernel<App>(app_, *graph_).InitStates();
     std::vector<int32_t> best(graph_->num_partitions(), -1);
     for (const FinalStateMsg& msg : outcome.states) {
-      if (msg.partition >= best.size() || msg.version <= best[msg.partition]) {
+      SURFER_RETURN_IF_ERROR(ValidateStateBlock(
+          {msg.partition, msg.begin, msg.count, msg.states.size()}, *graph_,
+          sizeof(VertexState), /*virtual_entry_size=*/0));
+      if (msg.version <= best[msg.partition]) {
         continue;
       }
-      const size_t expect =
-          static_cast<size_t>(msg.count) * sizeof(VertexState);
-      if (msg.states.size() != expect ||
-          static_cast<size_t>(msg.begin) + msg.count > states_.size()) {
-        return Status::Corruption("malformed final state for partition " +
-                                  std::to_string(msg.partition));
-      }
       if (msg.count > 0) {
-        std::memcpy(&states_[msg.begin], msg.states.data(), expect);
+        std::memcpy(&states_[msg.begin], msg.states.data(), msg.states.size());
       }
       best[msg.partition] = msg.version;
     }
@@ -1233,8 +1048,6 @@ class DistributedExecutor {
     stats_.peak_rss_bytes = outcome.peak_worker_rss_bytes;
     stats_.rss_bytes = obs::ReadMemoryUsage().rss_bytes;
 
-    alive_ = outcome.alive;
-    worker_reports_ = outcome.worker_reports;
     BuildClusterView(outcome, num_processes);
     return Status::OK();
   }
@@ -1296,8 +1109,6 @@ class DistributedExecutor {
   std::vector<VertexState> states_;
   std::map<uint64_t, VirtualOutput> virtual_outputs_;
   runtime::RuntimeStats stats_;
-  std::vector<uint8_t> alive_;
-  std::vector<std::string> worker_reports_;
   obs::JsonValue cluster_report_;
 };
 

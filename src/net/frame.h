@@ -46,7 +46,6 @@ enum class FrameType : uint16_t {
   kWorkerStats = 9,  ///< worker -> coordinator: merged counters + link matrix
   kFinalState = 10,  ///< worker -> coordinator: one partition's vertex states
   kFinalVirtual = 11,  ///< worker -> coordinator: virtual vertex outputs
-  kWorkerReport = 12,  ///< worker -> coordinator: run-report JSON text
   kFinalDone = 13,   ///< worker -> coordinator: result stream complete
   kShutdown = 14,    ///< coordinator -> workers: exit now
   kHeartbeat = 15,   ///< worker -> coordinator: periodic liveness + load

@@ -57,11 +57,11 @@ uint64_t MergeDuplicates(const App& app,
 
 /// The per-partition work of every engine, written once: the paper's fixed
 /// pair of steps (Algorithm 5), Transfer over a partition's vertices, then
-/// Combine over the messages its vertices received. The sequential runner,
-/// the threaded executor and the distributed worker all call this kernel
-/// over scratch they own; what stays in each engine is how streams travel
+/// Combine over the messages its vertices received. The sequential runner
+/// and the real engines' machine host (runtime/machine_host.h) call this
+/// kernel over scratch they own; what stays outside is how streams travel
 /// between the two steps (in-memory hand-off, bounded channels of
-/// WireBatches, TCP frames) and what it prices or times around them.
+/// WireBatches, TCP frames) and what is priced or timed around them.
 ///
 /// Why every engine is bit-identical to the sequential runner
 /// ----------------------------------------------------------

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,8 +26,8 @@
 #include "runtime/barrier.h"
 #include "runtime/channel.h"
 #include "runtime/channel_plan.h"
-#include "runtime/combine_plan.h"
 #include "runtime/fault.h"
+#include "runtime/machine_host.h"
 #include "runtime/stats.h"
 #include "runtime/timeline.h"
 #include "runtime/wire_batch.h"
@@ -75,33 +74,27 @@ struct RuntimeOptions {
 /// Concurrent BSP executor for propagation apps: the wall-clock counterpart
 /// of the analytic PropagationRunner.
 ///
-/// One worker thread per simulated machine runs that machine's Transfer and
-/// Combine tasks. Messages travel as serialized WireBatches: each machine's
-/// WireStager packs its outbound (src partition -> dst partition) streams
-/// into pooled per-destination-machine byte buffers, performing wire-level
-/// local combination at seal time, and ships them through bounded channels
-/// whose byte capacities mirror the topology's bandwidth matrix; a barrier
-/// separates the BSP supersteps. The executor's contract, asserted by
-/// tests/runtime_test.cc, is *bit-identical* results to the sequential
-/// runner at every optimization level:
-///   - each Combine sees its messages in the exact sequential order: the
-///     per-partition work is the shared PartitionKernel, whose header gives
-///     the ordering argument (one producer per stream, FIFO channels, a
-///     stable sort of chunks by src, a stable counting scatter by target);
-///   - wire combination merges a task's complete per-stream records before
-///     pricing or serializing any of them (WireStager::StageTask), so a
-///     merged stream carries at most one message per target per source and
-///     chunking never changes the priced byte count;
-///   - cascaded propagation and memory limits change the *accounted* cost
-///     only, so the runtime ignores them without affecting results.
+/// Each worker thread is one MachineHost (runtime/machine_host.h) for the
+/// machines m with m % num_workers == w: the host runs their Transfer and
+/// Combine tasks, stages their WireBatches and counts arrivals into the
+/// shared PartitionTable. This class adds the in-process Link — bounded
+/// channels whose byte capacities mirror the topology's bandwidth matrix —
+/// and the main-thread scheduler with its three barriers per stage round.
+/// The contract, asserted by tests/runtime_test.cc, is *bit-identical*
+/// results to the sequential runner at every optimization level: the
+/// per-partition work is the shared PartitionKernel, whose header gives the
+/// ordering argument, and the channels are FIFO. Cascaded propagation and
+/// memory limits change the *accounted* cost only, so the runtime ignores
+/// them.
 ///
 /// Fault injection follows Appendix B at task granularity: a machine killed
 /// mid-stage keeps the buffers of tasks it completed (its disk replicas
 /// survive), while its unfinished tasks are re-assigned to the next alive
-/// replica holder on the following round; re-executed Combine tasks
-/// re-fetch their remote inputs (counted in RuntimeStats::refetch_bytes).
-/// Dead machines' worker threads stay up purely to drain their inbound
-/// channels, so senders never deadlock against a corpse.
+/// replica holder on the following round. Inboxes live in shared memory and
+/// survive the death, so re-executed Combine tasks re-fetch their remote
+/// inputs (counted in RuntimeStats::refetch_bytes). Dead machines' worker
+/// threads stay up purely to drain their inbound channels, so senders never
+/// deadlock against a corpse.
 template <typename App>
   requires PropagationApp<App> && WireSerializableApp<App>
 class RuntimeExecutor {
@@ -134,7 +127,6 @@ class RuntimeExecutor {
     // when counter events merge into the Chrome trace.
     const double wall_start_tracer_us =
         config_.tracer != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    states_ = kernel().InitStates();
     virtual_outputs_.clear();
     stats_ = RuntimeStats{};
 
@@ -146,10 +138,6 @@ class RuntimeExecutor {
     num_machines_ = num_machines;
     num_workers_ = num_workers;
 
-    owned_machines_.assign(num_workers, {});
-    for (MachineId m = 0; m < num_machines; ++m) {
-      owned_machines_[m % num_workers].push_back(m);
-    }
     const size_t num_channels = static_cast<size_t>(num_machines) * num_machines;
     const std::vector<size_t> capacities =
         PlanChannelCapacities(*topology_, options_.channel_window_bytes);
@@ -159,44 +147,27 @@ class RuntimeExecutor {
       channels_.push_back(
           std::make_unique<BoundedChannel<WireBatch>>(capacities[i]));
     }
-    // One stager per machine, touched only by the machine's owner worker.
-    // Wire combination needs the job to allow local combination *and* the
-    // app to be mergeable *and* the wire toggle to be on.
-    const bool wire_combine =
-        config_.local_combination && MergeableApp<App> &&
-        options_.wire.wire_combine;
+    // One pool for every host: a payload is acquired by its sender's host
+    // and released by its receiver's.
     pool_ = std::make_unique<WireBufferPool>();
-    stagers_.clear();
-    stagers_.reserve(num_machines);
-    for (MachineId m = 0; m < num_machines; ++m) {
-      stagers_.emplace_back(&app_, options_.wire, pool_.get(), m, num_machines,
-                            wire_combine);
-    }
 
     const uint32_t num_partitions = graph_->num_partitions();
-    inboxes_.assign(num_partitions, {});
-    combine_scratch_.assign(num_partitions, CombineScratch{});
-    virtual_results_.assign(num_partitions, {});
+    std::vector<MachineId> primaries(num_partitions);
+    for (PartitionId p = 0; p < num_partitions; ++p) {
+      primaries[p] = placement_->primary(p);
+    }
+    table_ = std::make_unique<PartitionTable<App>>(
+        graph_, Kernel(app_, *graph_).InitStates(), std::move(primaries));
     done_.assign(num_partitions, 0);
     alive_.assign(num_machines, 1);
-    stage_tasks_done_.assign(num_machines, 0);
     locals_.assign(num_workers + 1, WorkerLocal{});
-    for (WorkerLocal& local : locals_) {
-      local.link_bytes.assign(num_channels, 0);
-    }
-    worker_scratch_.assign(num_workers, WorkerScratch{});
-    drain_phase_.assign(num_workers, DrainPhase{});
     barrier_ = std::make_unique<BspBarrier>(num_workers + 1);
     phase_ = Phase{};
 
     // Telemetry mirrors live whether or not the sampler runs: each is one
     // relaxed atomic touched at batch granularity, so keeping them
-    // unconditional avoids a branch on the same paths.
-    inbox_chunk_counts_ =
-        std::make_unique<std::atomic<uint64_t>[]>(num_partitions);
-    for (uint32_t p = 0; p < num_partitions; ++p) {
-      inbox_chunk_counts_[p].store(0, std::memory_order_relaxed);
-    }
+    // unconditional avoids a branch on the same paths. (The per-partition
+    // inbox chunk counts live in the table, next to the inboxes.)
     staged_wire_bytes_ =
         std::make_unique<std::atomic<uint64_t>[]>(num_machines);
     for (MachineId m = 0; m < num_machines; ++m) {
@@ -208,26 +179,40 @@ class RuntimeExecutor {
     }
     step_bounds_.assign(static_cast<size_t>(config_.iterations) * 2,
                         {0.0, 0.0});
+    sharded_.reset();
+    uint32_t transfer_name = 0;
+    uint32_t combine_name = 0;
+    if (config_.tracer != nullptr && obs::Tracer::CompiledIn()) {
+      sharded_ = std::make_unique<obs::ShardedTracer>(
+          config_.tracer, num_workers, options_.trace_shard_capacity);
+      transfer_name =
+          sharded_->InternName("rt_task_transfer", "runtime", "partition");
+      combine_name =
+          sharded_->InternName("rt_task_combine", "runtime", "partition");
+    }
+
+    const typename Host::Env env{.app = &app_,
+                                 .config = config_,
+                                 .wire = options_.wire,
+                                 .fault = &fault_,
+                                 .pool = pool_.get(),
+                                 .table = table_.get(),
+                                 .num_machines = num_machines};
+    hosts_.clear();
+    hosts_.reserve(num_workers);
+    for (uint32_t w = 0; w < num_workers; ++w) {
+      typename Host::TaskTrace trace;
+      if (sharded_ != nullptr) {
+        trace = {config_.tracer, &sharded_->shard(w), transfer_name,
+                 combine_name};
+      }
+      hosts_.push_back(std::make_unique<Host>(env, w, num_workers, trace));
+    }
+
     telemetry_ = std::make_unique<obs::TelemetryRecorder>(options_.telemetry);
     if (options_.telemetry.enabled) {
       RegisterTelemetryGauges();
     }
-
-    // Superstep timeline: one slot per (stage, machine). Slot [step][m] is
-    // written only by m's owner worker, so the matrix needs no locking; the
-    // main thread reads it after the join.
-    step_phases_.assign(static_cast<size_t>(config_.iterations) * 2,
-                        std::vector<PhaseSeconds>(num_machines));
-    sharded_.reset();
-    if (config_.tracer != nullptr && obs::Tracer::CompiledIn()) {
-      sharded_ = std::make_unique<obs::ShardedTracer>(
-          config_.tracer, num_workers, options_.trace_shard_capacity);
-      transfer_name_id_ =
-          sharded_->InternName("rt_task_transfer", "runtime", "partition");
-      combine_name_id_ =
-          sharded_->InternName("rt_task_combine", "runtime", "partition");
-    }
-
     telemetry_->Start(wall_start);
 
     std::vector<std::thread> workers;
@@ -241,14 +226,15 @@ class RuntimeExecutor {
       if constexpr (IterationAwareApp<App>) {
         app_.OnIterationStart(iteration);
       }
-      status = RunStage(PhaseKind::kTransfer, iteration);
+      status = RunStage(RuntimeStage::kTransfer, iteration);
       if (!status.ok()) {
         break;
       }
-      status = RunStage(PhaseKind::kCombine, iteration);
+      status = RunStage(RuntimeStage::kCombine, iteration);
       if (!status.ok()) {
         break;
       }
+      table_->Commit();
       // Flush point: workers are parked at the next start barrier, so their
       // shards only grow while we drain (SPSC-safe either way). One flush
       // per iteration keeps ring occupancy bounded without touching the
@@ -259,7 +245,7 @@ class RuntimeExecutor {
       // Fold this iteration's virtual-vertex outputs in partition order,
       // exactly as the sequential runner does at the end of RunIteration.
       if constexpr (VirtualVertexApp<App>) {
-        for (auto& per_partition : virtual_results_) {
+        for (auto& per_partition : table_->virtual_results) {
           for (auto& [id, output] : per_partition) {
             virtual_outputs_[id] = std::move(output);
           }
@@ -270,7 +256,7 @@ class RuntimeExecutor {
 
     // Publish the shutdown phase whether or not the run succeeded; workers
     // are all parked at the start barrier by construction.
-    phase_.kind = PhaseKind::kShutdown;
+    phase_.shutdown = true;
     MainBarrier();
     for (std::thread& t : workers) {
       t.join();
@@ -284,18 +270,15 @@ class RuntimeExecutor {
     if (config_.tracer != nullptr) {
       telemetry_->ExportCounterEvents(config_.tracer, wall_start_tracer_us);
     }
-    stats_.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
+    stats_.wall_seconds = SecondsSince(wall_start);
     FinalizeStats();
     return status;
   }
 
-  const std::vector<VertexState>& states() const { return states_; }
-
-  /// State of a vertex addressed by its *original* (pre-encoding) ID.
-  const VertexState& StateOfOriginal(VertexId original) const {
-    return states_[graph_->encoding().ToEncoded(original)];
+  /// Final states after a successful Run (empty before the first Run).
+  const std::vector<VertexState>& states() const {
+    static const std::vector<VertexState> kNone;
+    return table_ != nullptr ? table_->states : kNone;
   }
 
   const std::map<uint64_t, VirtualOutput>& virtual_outputs() const {
@@ -313,85 +296,54 @@ class RuntimeExecutor {
 
  private:
   using Kernel = PartitionKernel<App>;
-  using InboxChunk = typename Kernel::InboxChunk;
-
-  enum class PhaseKind : uint8_t { kIdle, kTransfer, kCombine, kShutdown };
+  using Host = MachineHost<App>;
 
   /// One stage round published by the main thread before the start barrier;
   /// workers read it (immutably) after the barrier releases them.
   struct Phase {
-    PhaseKind kind = PhaseKind::kIdle;
+    bool shutdown = false;
+    RuntimeStage stage = RuntimeStage::kTransfer;
     int iteration = 0;
     bool recovery = false;
-    /// tasks[m]: partitions machine m executes this round, ascending.
-    std::vector<std::vector<PartitionId>> tasks;
+    /// exec[p]: the machine running p's task this round, or kInvalidMachine.
+    std::vector<MachineId> exec;
   };
 
-  /// The stage a worker is currently draining for; written by the worker
-  /// after the start barrier and read only by that worker inside Drain, so
-  /// deserialization time lands in the right superstep slot.
-  struct DrainPhase {
-    int iteration = 0;
-    PhaseKind kind = PhaseKind::kTransfer;
-  };
-
-  /// Per-thread tallies, merged into RuntimeStats after the join.
+  /// Per-thread tallies the hosts do not keep, merged after the join.
   struct WorkerLocal {
-    uint64_t tasks_executed = 0;
-    uint64_t tasks_reexecuted = 0;
-    uint64_t messages_sent = 0;
-    uint64_t buffers_sent = 0;
-    uint64_t refetch_bytes = 0;
-    uint64_t combine_messages_scattered = 0;
-    uint64_t frontier_vertices_skipped = 0;
-    double combine_scatter_seconds = 0.0;
     uint32_t machine_failures = 0;
     double barrier_wait_seconds = 0.0;
     Histogram barrier_wait;
-    std::vector<uint64_t> link_bytes;
   };
 
-  /// Per-worker reusable kernel scratch (distinct from WorkerLocal, which
-  /// is pure stats): the transfer task's per-destination streams, the
-  /// combine buffers, and the recycled inbox-chunk freelist. All touched
-  /// only by their worker, never merged.
-  struct WorkerScratch {
-    typename Kernel::Streams streams;
-    typename Kernel::CombineBuffers combine;
-    typename Kernel::ChunkPool chunk_pool;
-  };
+  /// Worker w's Link: the bounded channels between machines.
+  struct ChannelLink {
+    RuntimeExecutor* executor;
+    uint32_t w;
 
-  Kernel kernel() const { return Kernel(app_, *graph_); }
+    double Send(WireBatch&& batch) {
+      return executor->SendBatch(std::move(batch), w);
+    }
+    void Pump() { executor->Drain(w); }
+    void TaskDone(PartitionId p, MachineId) { executor->done_[p] = 1; }
+    /// Marks m dead; its worker keeps draining m's inbound channels.
+    void Kill(MachineId m) {
+      executor->alive_[m] = 0;
+      ++executor->locals_[w].machine_failures;
+      if (obs::Tracer* tracer = executor->config_.tracer) {
+        tracer->RecordInstant(obs::TraceClock::kWall, "rt_machine_failed",
+                              "runtime", tracer->WallNowUs(),
+                              obs::Tracer::CurrentThreadLane(),
+                              {{"machine", std::to_string(m)}});
+      }
+    }
+  };
 
   double MainBarrier() { return barrier_->ArriveAndWait(); }
 
-  static double Seconds(std::chrono::steady_clock::duration d) {
-    return std::chrono::duration<double>(d).count();
-  }
-
-  /// Superstep index in execution order: two stages per BSP iteration.
-  static size_t StepIndex(int iteration, PhaseKind kind) {
-    return static_cast<size_t>(iteration) * 2 +
-           (kind == PhaseKind::kCombine ? 1 : 0);
-  }
-
-  PhaseSeconds& PhaseSlot(int iteration, PhaseKind kind, MachineId m) {
-    return step_phases_[StepIndex(iteration, kind)][m];
-  }
-
-  /// Books a worker's barrier idle time against its owned machines, split
-  /// evenly: with workers == machines the attribution is exact; with fewer
-  /// workers each hosted machine shares its worker's idle time.
-  void AttributeBarrierWait(int iteration, PhaseKind kind, uint32_t w,
-                            double seconds) {
-    const std::vector<MachineId>& owned = owned_machines_[w];
-    if (owned.empty() || seconds <= 0.0) {
-      return;
-    }
-    const double share = seconds / static_cast<double>(owned.size());
-    for (MachineId m : owned) {
-      PhaseSlot(iteration, kind, m).barrier_s += share;
-    }
+  static double SecondsSince(std::chrono::steady_clock::time_point start) {
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    return std::chrono::duration<double>(elapsed).count();
   }
 
   /// Attaches the runtime's gauge providers to the flight recorder. Every
@@ -475,7 +427,7 @@ class RuntimeExecutor {
               double total = 0.0;
               for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
                 if (placement_->primary(p) == m) {
-                  total += static_cast<double>(inbox_chunk_counts_[p].load(
+                  total += static_cast<double>(table_->inbox_chunks[p].load(
                       std::memory_order_relaxed));
                 }
               }
@@ -488,7 +440,7 @@ class RuntimeExecutor {
       const uint32_t num_partitions = graph_->num_partitions();
       for (PartitionId p = 0; p < num_partitions; ++p) {
         total += static_cast<double>(
-            inbox_chunk_counts_[p].load(std::memory_order_relaxed));
+            table_->inbox_chunks[p].load(std::memory_order_relaxed));
       }
       return total;
     });
@@ -531,43 +483,32 @@ class RuntimeExecutor {
     }
   }
 
-  static RuntimeStage StageOf(PhaseKind kind) {
-    return kind == PhaseKind::kTransfer ? RuntimeStage::kTransfer
-                                        : RuntimeStage::kCombine;
-  }
-
-  static const char* StageName(PhaseKind kind) {
-    return kind == PhaseKind::kTransfer ? "transfer" : "combine";
-  }
-
   /// Drives one BSP stage to completion, re-assigning the tasks of machines
   /// that die mid-round to their next alive replica holder until every
   /// partition's task has run. Each extra round implies a fresh machine
   /// death, so the loop terminates within num_machines rounds.
-  Status RunStage(PhaseKind kind, int iteration) {
+  Status RunStage(RuntimeStage stage, int iteration) {
     obs::ScopedSpan stage_span(
         config_.tracer,
-        std::string("rt_") + StageName(kind) + "[" +
+        std::string("rt_") + RuntimeStageName(stage) + "[" +
             std::to_string(iteration) + "]",
         "runtime");
     const uint32_t num_partitions = graph_->num_partitions();
     std::fill(done_.begin(), done_.end(), uint8_t{0});
-    std::fill(stage_tasks_done_.begin(), stage_tasks_done_.end(), 0u);
     // Stage bounds relative to the run's start: the same clock and origin
     // the flight recorder samples against, so telemetry windows correlate
     // with supersteps by plain timestamp comparison.
-    const size_t step = StepIndex(iteration, kind);
-    step_bounds_[step].first =
-        Seconds(std::chrono::steady_clock::now() - run_start_);
+    const size_t step = Host::StepIndex(iteration, stage);
+    step_bounds_[step].first = SecondsSince(run_start_);
     bool recovery = false;
     for (;;) {
       // Assign every pending partition to its first alive replica holder
       // (Appendix B's recovery rule; round one degenerates to the primary).
       Phase phase;
-      phase.kind = kind;
+      phase.stage = stage;
       phase.iteration = iteration;
       phase.recovery = recovery;
-      phase.tasks.assign(num_machines_, {});
+      phase.exec.assign(num_partitions, kInvalidMachine);
       uint32_t pending = 0;
       for (PartitionId p = 0; p < num_partitions; ++p) {
         if (done_[p]) {
@@ -579,14 +520,14 @@ class RuntimeExecutor {
           // shutdown phase and joins them before surfacing this error.
           return Status::Internal(
               "all replicas of partition " + std::to_string(p) +
-              " are dead; " + StageName(kind) + " stage cannot recover");
+              " are dead; " + RuntimeStageName(stage) +
+              " stage cannot recover");
         }
-        phase.tasks[m].push_back(p);
+        phase.exec[p] = m;
         ++pending;
       }
       if (pending == 0) {
-        step_bounds_[step].second =
-            Seconds(std::chrono::steady_clock::now() - run_start_);
+        step_bounds_[step].second = SecondsSince(run_start_);
         return Status::OK();
       }
       phase_ = std::move(phase);
@@ -601,63 +542,25 @@ class RuntimeExecutor {
 
   void WorkerMain(uint32_t w) {
     WorkerLocal& local = locals_[w];
+    Host& host = *hosts_[w];
+    ChannelLink link{this, w};
     for (;;) {
       const double start_wait = barrier_->ArriveAndWait();  // start barrier
       RecordBarrierWait(local, start_wait);
-      if (phase_.kind == PhaseKind::kShutdown) {
+      if (phase_.shutdown) {
         return;
       }
       const Phase& phase = phase_;
       // Copied out because phase_ is only stable until our last barrier of
       // this round releases the main thread to publish the next phase.
       const int iteration = phase.iteration;
-      const PhaseKind kind = phase.kind;
-      drain_phase_[w] = DrainPhase{iteration, kind};
-      // Run-state gauge: the stage being worked (PhaseKind value), 0 while
-      // parked at a barrier. One relaxed store per stage round.
-      worker_state_[w].store(static_cast<uint32_t>(kind),
+      const RuntimeStage stage = phase.stage;
+      // Run-state gauge: 1 transfer, 2 combine, 0 while parked at a
+      // barrier. One relaxed store per stage round.
+      worker_state_[w].store(static_cast<uint32_t>(stage) + 1,
                              std::memory_order_relaxed);
-      for (MachineId m : owned_machines_[w]) {
-        if (!alive_[m]) {
-          continue;
-        }
-        for (PartitionId p : phase.tasks[m]) {
-          if (fault_.ShouldKill(m, iteration, StageOf(kind),
-                                stage_tasks_done_[m])) {
-            KillMachine(m, iteration, kind, w, local);
-            break;
-          }
-          if (kind == PhaseKind::kTransfer) {
-            RunTransferTask(p, m, iteration, w, local);
-          } else {
-            RunCombineTask(p, m, iteration, w, local);
-          }
-          done_[p] = 1;
-          ++stage_tasks_done_[m];
-          ++local.tasks_executed;
-          if (phase.recovery) {
-            ++local.tasks_reexecuted;
-          }
-          if (kind == PhaseKind::kTransfer) {
-            // Ship batches whose flush deadline lapsed while the task ran,
-            // so a quiet destination is not held hostage to the stage end.
-            PhaseSlot(iteration, kind, m).blocked_s +=
-                stagers_[m].FlushExpired(
-                    [&](WireBatch&& batch) {
-                      return SendBatch(std::move(batch), w, local);
-                    });
-          }
-          Drain(w);  // keep inbound channels moving between tasks
-        }
-        if (kind == PhaseKind::kTransfer && alive_[m]) {
-          // Stage-end flush: every batch must be on the wire before the
-          // work-done barrier (the runtime's send-completeness contract).
-          PhaseSlot(iteration, kind, m).blocked_s +=
-              stagers_[m].FlushAll([&](WireBatch&& batch) {
-                return SendBatch(std::move(batch), w, local);
-              });
-        }
-      }
+      host.RunRound(link, iteration, stage, phase.recovery, phase.exec,
+                    table_->primaries);
       worker_state_[w].store(0, std::memory_order_relaxed);
       const double work_wait =
           barrier_->ArriveAndWait([this, w] { Drain(w); });
@@ -667,8 +570,9 @@ class RuntimeExecutor {
       Drain(w);
       const double drain_wait = barrier_->ArriveAndWait();  // drain done
       RecordBarrierWait(local, drain_wait);
-      AttributeBarrierWait(iteration, kind, w,
-                           start_wait + work_wait + drain_wait);
+      // With workers == machines the attribution is exact; with fewer
+      // workers each hosted machine shares its worker's idle time.
+      host.AddIdle(iteration, stage, start_wait + work_wait + drain_wait);
     }
   }
 
@@ -677,93 +581,29 @@ class RuntimeExecutor {
     local.barrier_wait.Add(seconds);
   }
 
-  void KillMachine(MachineId m, int iteration, PhaseKind kind, uint32_t w,
-                   WorkerLocal& local) {
-    // Batches staged by this machine's *completed* tasks still ship: a
-    // completed task's output survives the crash (its disk replicas do,
-    // Appendix B), so the wire plane must not lose it. Flush before marking
-    // the machine dead.
-    if (kind == PhaseKind::kTransfer) {
-      PhaseSlot(iteration, kind, m).blocked_s +=
-          stagers_[m].FlushAll([&](WireBatch&& batch) {
-            return SendBatch(std::move(batch), w, local);
-          });
-    }
-    alive_[m] = 0;
-    ++local.machine_failures;
-    if (config_.tracer != nullptr) {
-      config_.tracer->RecordInstant(
-          obs::TraceClock::kWall, "rt_machine_failed", "runtime",
-          config_.tracer->WallNowUs(), obs::Tracer::CurrentThreadLane(),
-          {{"machine", std::to_string(m)}});
-    }
-  }
-
-  /// Moves every batch waiting in worker w's inbound channels into the
-  /// per-partition inboxes (deserializing segments into chunks). Only w ever
-  /// consumes these channels (and only w writes inboxes of partitions whose
-  /// primary it owns), so no lock is needed beyond the channels' own.
+  /// Hands every batch waiting in worker w's inbound channels to its host
+  /// and recycles the payloads. Only w consumes these channels (and only w
+  /// writes the inboxes of partitions whose primary it hosts), so no lock
+  /// is needed beyond the channels' own. Batches come from this process's
+  /// own stagers, so a decode failure is a bug, never bad input.
   void Drain(uint32_t w) {
-    for (MachineId d : owned_machines_[w]) {
+    Host& host = *hosts_[w];
+    for (MachineId d : host.hosted()) {
       for (MachineId s = 0; s < num_machines_; ++s) {
         BoundedChannel<WireBatch>& ch =
             *channels_[static_cast<size_t>(s) * num_machines_ + d];
         while (std::optional<WireBatch> batch = ch.TryRecv()) {
-          ReceiveBatch(std::move(*batch), d, w);
+          SURFER_CHECK_OK(host.Receive(*batch));
+          pool_->Release(std::move(batch->payload));
         }
       }
     }
   }
 
-  /// Unpacks a received batch into inbox chunks and recycles its payload.
-  /// Deserialization cost is booked as serialize time of the *receiving*
-  /// machine in the current stage's slot (single-writer discipline holds:
-  /// d's owner worker is the one draining).
-  ///
-  /// Compute/communicate overlap: each real record is *counted* into the
-  /// destination partition's combine scratch (counts + frontier bits) right
-  /// here, while senders are still computing, so by the time the combine
-  /// task runs only the prefix sum and one O(M) placement pass remain of
-  /// the inbox reconstruction. Counting is order-independent, so arrival
-  /// order does not matter; the placement pass walks chunks in sorted-src
-  /// order and is what fixes the sequential message order.
-  void ReceiveBatch(WireBatch batch, MachineId d, uint32_t w) {
-    const auto unpack_start = std::chrono::steady_clock::now();
-    const double wire_bytes = static_cast<double>(batch.wire_size());
-    WireBatchReader<Message> reader(batch);
-    // Batches come from this process's own stagers, so a decode failure is
-    // a bug, never bad input.
-    SURFER_CHECK_OK(kernel().Decode(
-        reader, batch.src_machine, worker_scratch_[w].chunk_pool,
-        [&](PartitionId dst, InboxChunk&& chunk) {
-          CombineScratch& plan = combine_scratch_[dst];
-          if (!plan.active()) {
-            const PartitionMeta& meta = graph_->partition(dst);
-            plan.BeginRange(meta.begin, meta.end);
-          }
-          for (const auto& record : chunk.real) {
-            plan.Count(record.first);
-          }
-          inbox_chunk_counts_[dst].fetch_add(1, std::memory_order_relaxed);
-          inboxes_[dst].push_back(std::move(chunk));
-        }));
-    pool_->Release(std::move(batch.payload));
-    const DrainPhase phase = drain_phase_[w];
-    PhaseSeconds& slot = PhaseSlot(phase.iteration, phase.kind, d);
-    slot.serialize_s +=
-        Seconds(std::chrono::steady_clock::now() - unpack_start);
-    slot.wire_bytes += wire_bytes;
-  }
-
-  /// Books a sealed batch against its link and moves it into the channel.
-  /// Returns the seconds the send spent blocked on channel backpressure
-  /// (0 when the first TrySend lands), which flows back through the stager
-  /// into the superstep timeline's blocked phase.
-  double SendBatch(WireBatch&& batch, uint32_t w, WorkerLocal& local) {
-    local.link_bytes[static_cast<size_t>(batch.src_machine) * num_machines_ +
-                     batch.dst_machine] += batch.priced_bytes;
-    local.messages_sent += batch.num_messages;
-    ++local.buffers_sent;
+  /// Moves a sealed, booked batch into its channel. Returns the seconds the
+  /// send spent blocked on channel backpressure (0 when the first TrySend
+  /// lands), which flows back into the superstep timeline's blocked phase.
+  double SendBatch(WireBatch&& batch, uint32_t w) {
     staged_wire_bytes_[batch.src_machine].fetch_add(
         batch.wire_size(), std::memory_order_relaxed);
     BoundedChannel<WireBatch>& ch =
@@ -787,91 +627,7 @@ class RuntimeExecutor {
         break;
       }
     } while (!ch.TrySend(batch, weight, /*is_retry=*/true));
-    return Seconds(std::chrono::steady_clock::now() - stall_start);
-  }
-
-  /// Runs the Transfer task of partition p on `exec_machine`. The task body
-  /// only routes raw emissions into per-destination streams; local
-  /// combination, pricing, and serialization all happen at staging time in
-  /// the machine's WireStager (the same MergeDuplicates fold the sequential
-  /// runner uses, keeping results bit-identical).
-  void RunTransferTask(PartitionId p, MachineId exec_machine, int iteration,
-                       uint32_t w, WorkerLocal& local) {
-    // Hot path: per-task events go through this worker's lock-free shard
-    // (flushed into the tracer between supersteps), never the tracer mutex.
-    const double task_start_us =
-        sharded_ != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    const auto compute_start = std::chrono::steady_clock::now();
-    // Raw (emission-order) streams per destination partition, reused across
-    // the worker's tasks. The whole task accumulates before anything is
-    // staged so wire combination spans the full stream — the precondition
-    // for exact byte reconciliation.
-    typename Kernel::Streams& streams = worker_scratch_[w].streams;
-    kernel().RunTransfer(p, states_, streams);
-    const auto serialize_start = std::chrono::steady_clock::now();
-    // The stager seals and ships batches as they fill.
-    const double blocked_s = stagers_[exec_machine].StageStreams(
-        p, streams, [&](PartitionId dst) { return placement_->primary(dst); },
-        [&](WireBatch&& batch) {
-          return SendBatch(std::move(batch), w, local);
-        });
-
-    const auto task_end = std::chrono::steady_clock::now();
-    PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kTransfer,
-                                   exec_machine);
-    slot.compute_s += Seconds(serialize_start - compute_start);
-    slot.serialize_s += Seconds(task_end - serialize_start) - blocked_s;
-    slot.blocked_s += blocked_s;
-    if (sharded_ != nullptr) {
-      sharded_->shard(w).Record(obs::ShardEvent{
-          transfer_name_id_, exec_machine, task_start_us,
-          config_.tracer->WallNowUs() - task_start_us, p});
-    }
-  }
-
-  /// Runs the Combine task of partition p: finishes the sort-free regroup of
-  /// the received chunks (counts were accumulated at arrival) and applies
-  /// Combine per vertex — every vertex for legacy apps, only frontier
-  /// vertices for SilentVertexSkippableApps under gating — then folds
-  /// virtual groups.
-  void RunCombineTask(PartitionId p, MachineId exec_machine, int iteration,
-                      uint32_t w, WorkerLocal& local) {
-    const double task_start_us =
-        sharded_ != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    const auto inbox_start = std::chrono::steady_clock::now();
-    const Kernel kernel = this->kernel();
-    // Counts and frontier bits were built as chunks arrived (ReceiveBatch),
-    // so the regroup is one prefix sum plus a single placement walk.
-    WorkerScratch& ws = worker_scratch_[w];
-    CombineScratch& plan = combine_scratch_[p];
-    const auto inbox = kernel.Regroup(p, exec_machine, placement_->primary(p),
-                                      plan, inboxes_[p], ws.chunk_pool,
-                                      ws.combine);
-    local.refetch_bytes += inbox.refetch_bytes;
-    local.combine_scatter_seconds += inbox.scatter_seconds;
-    local.combine_messages_scattered += inbox.scattered;
-    inbox_chunk_counts_[p].store(0, std::memory_order_relaxed);
-
-    // Everything up to here reconstructed the sequential inbox from wire
-    // buffers: serialization time. The rest is user compute.
-    const auto compute_start = std::chrono::steady_clock::now();
-    const uint64_t skipped = kernel.RunCombine(p, Kernel::Gated(config_),
-                                               plan, ws.combine, states_);
-    local.frontier_vertices_skipped += skipped;
-    kernel.FoldVirtuals(ws.combine, virtual_results_[p]);
-
-    const auto task_end = std::chrono::steady_clock::now();
-    PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kCombine,
-                                   exec_machine);
-    slot.serialize_s += Seconds(compute_start - inbox_start);
-    slot.compute_s += Seconds(task_end - compute_start);
-    slot.scatter_messages += static_cast<double>(inbox.scattered);
-    slot.frontier_skipped += static_cast<double>(skipped);
-    if (sharded_ != nullptr) {
-      sharded_->shard(w).Record(obs::ShardEvent{
-          combine_name_id_, exec_machine, task_start_us,
-          config_.tracer->WallNowUs() - task_start_us, p});
-    }
+    return SecondsSince(stall_start);
   }
 
   // ------------------------------------------------------------- wrap-up
@@ -884,20 +640,18 @@ class RuntimeExecutor {
     stats_.link_bytes.assign(
         static_cast<size_t>(num_machines_) * num_machines_, 0);
     for (const WorkerLocal& local : locals_) {
-      stats_.tasks_executed += local.tasks_executed;
-      stats_.tasks_reexecuted += local.tasks_reexecuted;
       stats_.machine_failures += local.machine_failures;
-      stats_.messages_sent += local.messages_sent;
-      stats_.buffers_sent += local.buffers_sent;
-      stats_.refetch_bytes += local.refetch_bytes;
-      stats_.combine_messages_scattered += local.combine_messages_scattered;
-      stats_.combine_scatter_seconds += local.combine_scatter_seconds;
-      stats_.frontier_vertices_skipped += local.frontier_vertices_skipped;
       stats_.barrier_wait_seconds += local.barrier_wait_seconds;
       stats_.barrier_wait.Merge(local.barrier_wait);
-      for (size_t i = 0; i < local.link_bytes.size(); ++i) {
-        stats_.link_bytes[i] += local.link_bytes[i];
-      }
+    }
+    stats_.timeline.clear();
+    for (const std::unique_ptr<Host>& host : hosts_) {
+      host->FoldCounters(stats_);
+      host->FoldTimeline(stats_.timeline);
+    }
+    for (size_t step = 0; step < stats_.timeline.size(); ++step) {
+      stats_.timeline[step].start_s = step_bounds_[step].first;
+      stats_.timeline[step].end_s = step_bounds_[step].second;
     }
     // Mean/max over *workers only* (locals_[num_workers_] is the main
     // thread, whose waits overlap every worker's): the per-thread view that
@@ -918,30 +672,9 @@ class RuntimeExecutor {
       stats_.channel_depth.Merge(snapshot.depth_on_send);
       stats_.channels.push_back(std::move(snapshot));
     }
-    for (const WireStager<App>& stager : stagers_) {
-      AccumulateStagerStats(stager.stats(), stats_);
-    }
-    if (pool_ != nullptr) {
-      const WireBufferPool::Stats pool = pool_->stats();
-      stats_.pool_buffers_acquired = pool.acquires;
-      stats_.pool_buffers_reused = pool.reuses;
-    }
-
-    stats_.timeline.clear();
-    stats_.timeline.reserve(step_phases_.size());
-    for (size_t step = 0; step < step_phases_.size(); ++step) {
-      SuperstepProfile profile;
-      profile.iteration = static_cast<int>(step / 2);
-      profile.stage = step % 2 == 0 ? RuntimeStage::kTransfer
-                                    : RuntimeStage::kCombine;
-      if (step < step_bounds_.size()) {
-        profile.start_s = step_bounds_[step].first;
-        profile.end_s = step_bounds_[step].second;
-      }
-      profile.machines = std::move(step_phases_[step]);
-      stats_.timeline.push_back(std::move(profile));
-    }
-    step_phases_.clear();
+    const WireBufferPool::Stats pool = pool_->stats();
+    stats_.pool_buffers_acquired = pool.acquires;
+    stats_.pool_buffers_reused = pool.reuses;
     if (sharded_ != nullptr) {
       stats_.trace_events_dropped = sharded_->total_dropped();
     }
@@ -1027,62 +760,40 @@ class RuntimeExecutor {
 
   uint32_t num_machines_ = 0;
   uint32_t num_workers_ = 0;
-  std::vector<std::vector<MachineId>> owned_machines_;
   std::vector<std::unique_ptr<BoundedChannel<WireBatch>>> channels_;
   std::unique_ptr<BspBarrier> barrier_;
-  /// Payload freelist shared by all stagers (thread-safe on its own).
   std::unique_ptr<WireBufferPool> pool_;
-  /// stagers_[m]: machine m's wire stager, touched only by m's owner worker.
-  std::vector<WireStager<App>> stagers_;
 
   // Shared state with single-writer-per-element or barrier-separated access
   // (the data-race-freedom discipline TSan verifies):
   //  - phase_: written by main before the start barrier, read by workers
   //    after it releases;
-  //  - done_[p], inboxes_[p], virtual_results_[p]: written by the one worker
-  //    executing/owning that partition this round, read by main (and any
-  //    re-assigned worker) only across a barrier;
-  //  - combine_scratch_[p]: counts/frontier bits written by the drain worker
-  //    of p's primary machine during the transfer stage (same single writer
-  //    as inboxes_[p]), consumed and Reset() by p's combine executor across
-  //    the stage barrier;
-  //  - alive_[m], stage_tasks_done_[m]: written solely by m's owner worker
-  //    (reset by main between stages, across a barrier);
-  //  - states_[v]: written by the Combine executor of v's partition, read
-  //    by the next iteration's Transfer executor across two barriers.
-  //  - drain_phase_[w]: written and read only by worker w.
+  //  - hosts_[w]: touched only by worker w, read by main after the join;
+  //  - table_: see PartitionTable; main commits states and folds virtual
+  //    results between iterations, while every worker is parked;
+  //  - done_[p]: written by the one worker executing p this round, read by
+  //    main only across a barrier;
+  //  - alive_[m]: written solely by m's owner worker, read by main across
+  //    a barrier.
   Phase phase_;
+  std::unique_ptr<PartitionTable<App>> table_;
+  std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<uint8_t> done_;
   std::vector<uint8_t> alive_;
-  std::vector<uint32_t> stage_tasks_done_;
-  std::vector<std::vector<InboxChunk>> inboxes_;
-  std::vector<CombineScratch> combine_scratch_;
-  std::vector<VertexState> states_;
-  std::vector<std::vector<std::pair<uint64_t, VirtualOutput>>> virtual_results_;
   std::vector<WorkerLocal> locals_;
-  /// worker_scratch_[w]: pooled regroup/output buffers touched only by
-  /// worker w (same discipline as drain_phase_[w]).
-  std::vector<WorkerScratch> worker_scratch_;
-  std::vector<DrainPhase> drain_phase_;
 
-  //  - step_phases_[step][m]: written solely by m's owner worker during that
-  //    superstep, read by main after the join.
-  std::vector<std::vector<PhaseSeconds>> step_phases_;
   /// (start_s, end_s) of each superstep relative to run_start_, stamped by
   /// the main thread around the stage's barrier rounds.
   std::vector<std::pair<double, double>> step_bounds_;
   std::unique_ptr<obs::ShardedTracer> sharded_;  ///< null when tracing is off
-  uint32_t transfer_name_id_ = 0;
-  uint32_t combine_name_id_ = 0;
 
   // Flight-recorder plane. The atomic arrays are lock-free mirrors written
   // by the instrumented paths (relaxed, batch granularity) and read by the
   // sampler thread; the recorder itself stops before Run returns, so its
   // providers never outlive the structures they read.
   std::unique_ptr<obs::TelemetryRecorder> telemetry_;
-  std::unique_ptr<std::atomic<uint64_t>[]> inbox_chunk_counts_;  ///< per part.
   std::unique_ptr<std::atomic<uint64_t>[]> staged_wire_bytes_;   ///< per mach.
-  std::unique_ptr<std::atomic<uint32_t>[]> worker_state_;  ///< PhaseKind or 0
+  std::unique_ptr<std::atomic<uint32_t>[]> worker_state_;  ///< stage + 1, or 0
   std::chrono::steady_clock::time_point run_start_;
 
   std::map<uint64_t, VirtualOutput> virtual_outputs_;

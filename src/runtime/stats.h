@@ -1,7 +1,10 @@
 #ifndef SURFER_RUNTIME_STATS_H_
 #define SURFER_RUNTIME_STATS_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/histogram.h"
@@ -12,23 +15,15 @@
 namespace surfer {
 namespace runtime {
 
-/// Wall-clock execution statistics for one RuntimeExecutor run. Collected
-/// after the worker threads join, so everything here is plain data.
-struct RuntimeStats {
-  uint32_t num_workers = 0;
-  uint32_t num_machines = 0;
-  /// Worker OS processes in a distributed run (0 for in-process engines).
-  uint32_t num_processes = 0;
-  int iterations = 0;
-
+/// The additive counters of a real engine run, kept per machine host, per
+/// worker process and per run. Every field is a uint64_t, so the block
+/// ships raw over the control plane and sums field by field (Add) without
+/// naming a field twice.
+struct EngineCounters {
   uint64_t tasks_executed = 0;    ///< transfer + combine tasks run, incl. retries
   uint64_t tasks_reexecuted = 0;  ///< tasks re-run on a replica after a kill
-  uint32_t machine_failures = 0;
-
   uint64_t messages_sent = 0;  ///< materialized messages through channels
   uint64_t buffers_sent = 0;   ///< channel items (wire batches put on a link)
-  uint64_t send_stalls = 0;    ///< stall *attempts* across all channels
-  uint64_t items_stalled = 0;  ///< distinct batches that hit a full channel
 
   // Wire-batch plane (see runtime/wire_batch.h). A batch is one pooled
   // buffer sent to one destination machine; a segment is one (src, dst)
@@ -43,14 +38,49 @@ struct RuntimeStats {
   uint64_t pool_buffers_acquired = 0;    ///< WireBufferPool::Acquire calls
   uint64_t pool_buffers_reused = 0;      ///< acquires served from the freelist
 
-  // Sort-free combine regroup (see runtime/combine_plan.h). Scatter
-  // throughput (messages / scatter seconds) is the bench-gated quantity:
-  // it is what the counting scatter buys over the legacy O(M log M) sort.
+  // Sort-free combine regroup (see runtime/combine_plan.h).
   uint64_t combine_messages_scattered = 0;  ///< records placed by the scatter
-  double combine_scatter_seconds = 0.0;     ///< prefix-sum + placement time
   /// Vertices the frontier-gated combine loop skipped (apps declaring
   /// kSkipSilentVertices only; 0 when gating is off or not opted into).
   uint64_t frontier_vertices_skipped = 0;
+  uint64_t refetch_bytes = 0;  ///< replica re-reads triggered by recovery
+
+  // Distributed engine (net/distributed.h) only; all zero elsewhere.
+  uint64_t tcp_bytes_sent = 0;    ///< bytes on mesh sockets, headers included
+  uint64_t tcp_frames_sent = 0;   ///< mesh frames (data, updates, EOS, acks)
+  uint64_t resend_bytes = 0;      ///< recovery replay + re-executed transfer
+  uint64_t replication_bytes = 0; ///< post-combine state updates to replicas
+
+  void Add(const EngineCounters& other) {
+    using Fields =
+        std::array<uint64_t, sizeof(EngineCounters) / sizeof(uint64_t)>;
+    Fields sum = std::bit_cast<Fields>(*this);
+    const Fields add = std::bit_cast<Fields>(other);
+    for (size_t i = 0; i < sum.size(); ++i) {
+      sum[i] += add[i];
+    }
+    *this = std::bit_cast<EngineCounters>(sum);
+  }
+};
+static_assert(std::is_trivially_copyable_v<EngineCounters> &&
+              sizeof(EngineCounters) % sizeof(uint64_t) == 0);
+
+/// Wall-clock execution statistics for one RuntimeExecutor run. Collected
+/// after the worker threads join, so everything here is plain data.
+struct RuntimeStats : EngineCounters {
+  uint32_t num_workers = 0;
+  uint32_t num_machines = 0;
+  /// Worker OS processes in a distributed run (0 for in-process engines).
+  uint32_t num_processes = 0;
+  int iterations = 0;
+  uint32_t machine_failures = 0;
+  uint64_t send_stalls = 0;    ///< stall *attempts* across all channels
+  uint64_t items_stalled = 0;  ///< distinct batches that hit a full channel
+
+  /// Prefix-sum + placement time of the combine regroup. Scatter throughput
+  /// (messages / scatter seconds) is the bench-gated quantity: it is what
+  /// the counting scatter buys over the legacy O(M log M) sort.
+  double combine_scatter_seconds = 0.0;
 
   double barrier_wait_seconds = 0.0;  ///< summed across workers + main
   /// Per-worker distribution of the summed wait (workers only, main thread
@@ -60,14 +90,7 @@ struct RuntimeStats {
   double barrier_wait_mean_s = 0.0;
   double barrier_wait_max_s = 0.0;
   uint64_t barrier_generations = 0;
-  uint64_t refetch_bytes = 0;  ///< replica re-reads triggered by recovery
   double wall_seconds = 0.0;
-
-  // Distributed engine (net/distributed.h) only; all zero elsewhere.
-  uint64_t tcp_bytes_sent = 0;    ///< bytes on mesh sockets, headers included
-  uint64_t tcp_frames_sent = 0;   ///< mesh frames (data, updates, EOS, acks)
-  uint64_t resend_bytes = 0;      ///< recovery replay + re-executed transfer
-  uint64_t replication_bytes = 0; ///< post-combine state updates to replicas
 
   /// Row-major M x M actual bytes moved per (src machine -> dst machine).
   /// Off-diagonal entries are network traffic and, absent faults, must

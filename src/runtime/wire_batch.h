@@ -215,9 +215,6 @@ class WireBatchReader {
     return true;
   }
 
-  /// Payload bytes consumed so far: the end of the last decoded segment.
-  size_t offset() const { return offset_; }
-
  private:
   const WireBatch& batch_;
   size_t offset_ = 0;

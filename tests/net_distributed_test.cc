@@ -20,6 +20,7 @@
 #include "apps/degree_distribution.h"
 #include "apps/network_ranking.h"
 #include "core/engine.h"
+#include "net/control.h"
 #include "obs/json.h"
 #include "obs/trace_merge.h"
 #include "propagation/config.h"
@@ -354,6 +355,28 @@ TEST(NetDistributedTest, ArtifactsLandForEveryProcessAndMerge) {
         dir / ("dist_worker_" + std::to_string(proc) + ".trace.json");
     ASSERT_TRUE(std::filesystem::exists(report)) << report;
     ASSERT_TRUE(std::filesystem::exists(trace)) << trace;
+    // The worker report carries its hosted machines' superstep timeline.
+    std::ifstream report_in(report);
+    std::ostringstream report_text;
+    report_text << report_in.rdbuf();
+    auto parsed_report = obs::ParseJson(report_text.str());
+    ASSERT_TRUE(parsed_report.ok()) << parsed_report.status().ToString();
+    const obs::JsonValue* timeline = parsed_report->Find("timeline");
+    ASSERT_NE(timeline, nullptr) << report;
+    const obs::JsonValue* steps = timeline->Find("steps");
+    ASSERT_NE(steps, nullptr) << report;
+    EXPECT_EQ(steps->as_array().size(),
+              2u * static_cast<size_t>(config.iterations));
+    bool hosted_busy = false;
+    for (const obs::JsonValue& step : steps->as_array()) {
+      for (const obs::JsonValue& row : step.Find("machines")->as_array()) {
+        const auto machine =
+            static_cast<uint32_t>(row.Find("machine")->as_number());
+        hosted_busy |= machine % 3 == proc &&
+                       row.Find("busy_s")->as_number() > 0.0;
+      }
+    }
+    EXPECT_TRUE(hosted_busy) << report;
     std::ifstream in(trace);
     std::ostringstream text;
     text << in.rdbuf();
@@ -375,6 +398,71 @@ TEST(NetDistributedTest, ArtifactsLandForEveryProcessAndMerge) {
   ASSERT_NE(alignment, nullptr);
   EXPECT_EQ(alignment->as_string(), "origin");
   std::filesystem::remove_all(dir);
+}
+
+const PartitionedGraph& FixtureGraph() {
+  return *Fixture().Setup(OptimizationLevel::kO4).graph;
+}
+
+/// A state block shaped exactly like partition p of the fixture, with
+/// 8-byte states and 16-byte virtual entries.
+net::StateBlock BlockFor(const PartitionedGraph& graph, PartitionId p) {
+  const PartitionMeta& meta = graph.partition(p);
+  net::StateBlock block;
+  block.partition = p;
+  block.begin = meta.begin;
+  block.count = meta.end - meta.begin;
+  block.state_bytes = static_cast<size_t>(block.count) * 8;
+  block.virtual_count = 2;
+  block.virtual_bytes = 32;
+  return block;
+}
+
+Status CheckBlock(const PartitionedGraph& graph,
+                  const net::StateBlock& block) {
+  return net::ValidateStateBlock(block, graph, /*state_size=*/8,
+                                 /*virtual_entry_size=*/16);
+}
+
+TEST(NetStateBlockTest, ExactPartitionRangeIsAccepted) {
+  const PartitionedGraph& graph = FixtureGraph();
+  for (PartitionId p = 0; p < graph.num_partitions(); ++p) {
+    const Status status = CheckBlock(graph, BlockFor(graph, p));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+TEST(NetStateBlockTest, OffByOneRangeIsCorruption) {
+  const PartitionedGraph& graph = FixtureGraph();
+  ASSERT_GE(graph.num_partitions(), 2u);
+  net::StateBlock block = BlockFor(graph, 1);
+  block.begin += 1;  // would spill one state into partition 2
+  EXPECT_EQ(CheckBlock(graph, block).code(), StatusCode::kCorruption);
+  block = BlockFor(graph, 1);
+  block.count += 1;
+  block.state_bytes += 8;
+  EXPECT_EQ(CheckBlock(graph, block).code(), StatusCode::kCorruption);
+}
+
+TEST(NetStateBlockTest, WrongPartitionIsCorruption) {
+  const PartitionedGraph& graph = FixtureGraph();
+  ASSERT_GE(graph.num_partitions(), 2u);
+  // Partition 1 claiming partition 0's range: a neighbour overwrite.
+  net::StateBlock block = BlockFor(graph, 0);
+  block.partition = 1;
+  EXPECT_EQ(CheckBlock(graph, block).code(), StatusCode::kCorruption);
+  block.partition = graph.num_partitions();
+  EXPECT_EQ(CheckBlock(graph, block).code(), StatusCode::kCorruption);
+}
+
+TEST(NetStateBlockTest, ByteSizeMismatchIsCorruption) {
+  const PartitionedGraph& graph = FixtureGraph();
+  net::StateBlock block = BlockFor(graph, 0);
+  block.state_bytes -= 1;
+  EXPECT_EQ(CheckBlock(graph, block).code(), StatusCode::kCorruption);
+  block = BlockFor(graph, 0);
+  block.virtual_bytes += 16;  // one entry more than virtual_count says
+  EXPECT_EQ(CheckBlock(graph, block).code(), StatusCode::kCorruption);
 }
 
 TEST(NetDistributedTest, InjectedStallIsFlaggedOnlineWithoutAborting) {

@@ -204,6 +204,73 @@ TEST(NetControlTest, RoundMsgRoundTrips) {
   EXPECT_EQ(decoded->reexec, msg.reexec);
 }
 
+/// A well-formed round over 3 partitions and 3 machines, sent through the
+/// codec as a coordinator would send it.
+RoundMsg WellFormedRound(RoundKind kind) {
+  RoundMsg msg;
+  msg.seq = 7;
+  msg.kind = kind;
+  msg.alive = {1, 1, 1};
+  msg.exec = {0, 1, kInvalidMachine};
+  msg.route = {0, 1, 2};
+  msg.reexec = {kInvalidMachine, kInvalidMachine, kInvalidMachine};
+  return msg;
+}
+
+Status DecodeAndValidate(const RoundMsg& msg) {
+  auto decoded = DecodeRound(EncodeRound(msg));
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  return ValidateRound(*decoded, /*num_partitions=*/3, /*num_machines=*/3,
+                       /*iterations=*/4);
+}
+
+TEST(NetControlTest, RoundWithShortExecIsCorruption) {
+  RoundMsg msg = WellFormedRound(RoundKind::kCombine);
+  msg.exec.pop_back();
+  const Status status = DecodeAndValidate(msg);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(NetControlTest, RoundRoutingOutOfRangeIsCorruption) {
+  RoundMsg msg = WellFormedRound(RoundKind::kTransfer);
+  msg.route[1] = 3;  // one past the last machine
+  const Status status = DecodeAndValidate(msg);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  // A transfer round must route every partition somewhere.
+  msg.route[1] = kInvalidMachine;
+  EXPECT_EQ(DecodeAndValidate(msg).code(), StatusCode::kCorruption);
+}
+
+TEST(NetControlTest, RoundOfUnknownKindIsCorruption) {
+  RoundMsg msg = WellFormedRound(RoundKind::kTransfer);
+  msg.kind = static_cast<RoundKind>(9);
+  const Status status = DecodeAndValidate(msg);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(NetControlTest, RoundOfIterationOutOfRangeIsCorruption) {
+  RoundMsg msg = WellFormedRound(RoundKind::kCombine);
+  msg.iteration = 3;  // the last of 4 iterations
+  EXPECT_TRUE(DecodeAndValidate(msg).ok());
+  msg.iteration = 4;
+  const Status status = DecodeAndValidate(msg);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  msg.iteration = -1;
+  EXPECT_EQ(DecodeAndValidate(msg).code(), StatusCode::kCorruption);
+}
+
+TEST(NetControlTest, ResendRoundWithUnroutedPartitionsIsAccepted) {
+  RoundMsg msg = WellFormedRound(RoundKind::kResend);
+  msg.recovery = 1;
+  msg.exec = {kInvalidMachine, 2, kInvalidMachine};
+  msg.route = {kInvalidMachine, 2, kInvalidMachine};
+  msg.reexec = {1, kInvalidMachine, kInvalidMachine};
+  const Status status = DecodeAndValidate(msg);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(NetControlTest, WorkerStatsRoundTripWithLinkMatrix) {
   WorkerStatsMsg msg;
   msg.tasks_executed = 10;

@@ -12,6 +12,8 @@
 #include "partition/partitioning.h"
 #include "propagation/app_traits.h"
 #include "propagation/partition_kernel.h"
+#include "runtime/fault.h"
+#include "runtime/machine_host.h"
 #include "runtime/wire_batch.h"
 #include "storage/partitioned_graph.h"
 
@@ -281,16 +283,23 @@ TEST(WireBatchTest, OverlongCountIsCorruption) {
   EXPECT_TRUE(segment.real.empty());
 }
 
-TEST(WireBatchTest, BadPartitionOrTargetIsCorruption) {
-  // Two partitions over four vertices: the kernel's decode must reject a
-  // real target outside its destination partition, and partition IDs out
-  // of range, before any chunk reaches an inbox.
+/// Two partitions over four vertices: {0, 1} and {2, 3}.
+Result<PartitionedGraph> TwoPartitionGraph() {
   Result<Graph> graph = GraphBuilder::FromEdges(4, {{0, 1}, {2, 3}});
-  ASSERT_TRUE(graph.ok());
+  if (!graph.ok()) {
+    return graph.status();
+  }
   Partitioning partitioning;
   partitioning.num_partitions = 2;
   partitioning.assignment = {0, 0, 1, 1};
-  Result<PartitionedGraph> pg = PartitionedGraph::Create(*graph, partitioning);
+  return PartitionedGraph::Create(*graph, partitioning);
+}
+
+TEST(WireBatchTest, BadPartitionOrTargetIsCorruption) {
+  // The kernel's decode must reject a real target outside its destination
+  // partition, and partition IDs out of range, before any chunk reaches an
+  // inbox.
+  Result<PartitionedGraph> pg = TwoPartitionGraph();
   ASSERT_TRUE(pg.ok());
   SumApp app;
   const PartitionKernel<SumApp> kernel(app, *pg);
@@ -324,6 +333,43 @@ TEST(WireBatchTest, BadPartitionOrTargetIsCorruption) {
         << src << " -> " << dst_partition << " target " << target;
     EXPECT_EQ(delivered, 0u);
   }
+}
+
+TEST(MachineHostTest, BatchForMachineNotHostedIsCorruption) {
+  // A batch for machine 1 decodes only on the host that runs machine 1; any
+  // other host refuses it before a chunk reaches an inbox.
+  Result<PartitionedGraph> pg = TwoPartitionGraph();
+  ASSERT_TRUE(pg.ok());
+  SumApp app;
+  WireBufferPool pool;
+  const FaultController fault;
+  PartitionTable<SumApp> table(
+      &*pg, PartitionKernel<SumApp>(app, *pg).InitStates(), {0, 1});
+  const MachineHost<SumApp>::Env env{.app = &app,
+                                     .config = {},
+                                     .wire = {},
+                                     .fault = &fault,
+                                     .pool = &pool,
+                                     .table = &table,
+                                     .num_machines = 4};
+  MachineHost<SumApp> even(env, /*first=*/0, /*stride=*/2);  // {0, 2}
+  MachineHost<SumApp> odd(env, /*first=*/1, /*stride=*/2);   // {1, 3}
+
+  Harness h;
+  const WireBatch batch = OneRecordBatch(h, 0, 1, pg->partition(1).begin);
+  ASSERT_EQ(batch.dst_machine, 1u);
+  Status status = even.Receive(batch);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  WireBatch stray = batch;
+  stray.dst_machine = 4;  // past the last machine
+  status = odd.Receive(stray);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_TRUE(table.inboxes[1].empty());
+  EXPECT_EQ(table.inbox_chunks[1].load(), 0u);
+
+  ASSERT_TRUE(odd.Receive(batch).ok());
+  EXPECT_EQ(table.inboxes[1].size(), 1u);
+  EXPECT_EQ(table.inbox_chunks[1].load(), 1u);
 }
 
 // ------------------------------------------------------- buffer pool
