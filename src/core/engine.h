@@ -75,7 +75,8 @@ inline const char* EngineKindName(EngineKind kind) {
 /// every engine.
 struct EngineOptions {
   EngineKind engine = EngineKind::kAnalytic;
-  /// Iterations, optimization flags, tracer/metrics hooks (all engines).
+  /// Iterations, optimization flags and the tracer hook (all engines); the
+  /// metrics hook gets the analytic runner's propagation_* counters.
   PropagationConfig propagation;
   /// Simulated-hardware parameters (analytic engine only).
   JobSimulationOptions sim;
@@ -190,18 +191,27 @@ Result<RunAppResult<App>> RunAnalytic(const PartitionedGraph* graph,
   return result;
 }
 
-/// A real engine's measured M x M link matrix in the unified form: the
-/// diagonal carries local (non-network) traffic, so it reads as zero.
-inline std::vector<double> NetworkLinkBytes(
-    const std::vector<uint64_t>& measured, uint32_t num_machines) {
-  std::vector<double> network(
-      static_cast<size_t>(num_machines) * num_machines, 0.0);
+/// What a real engine's run yields in the unified form: states, virtual
+/// outputs, its runtime stats, and its measured M x M link matrix with the
+/// diagonal (local, non-network traffic) read as zero.
+template <typename App, typename Executor>
+RunAppResult<App> RealEngineResult(const Executor& executor,
+                                   const PartitionedGraph* graph,
+                                   uint32_t num_machines) {
+  RunAppResult<App> result;
+  result.states = executor.states();
+  result.virtual_outputs = executor.virtual_outputs();
+  result.runtime_stats = executor.stats();
+  const std::vector<uint64_t>& measured = executor.stats().link_bytes;
+  std::vector<double>& network = result.link_network_bytes;
+  network.assign(static_cast<size_t>(num_machines) * num_machines, 0.0);
   for (size_t i = 0; i < network.size() && i < measured.size(); ++i) {
     if (i / num_machines != i % num_machines) {
       network[i] = static_cast<double>(measured[i]);
     }
   }
-  return network;
+  result.graph = graph;
+  return result;
 }
 
 template <typename App>
@@ -214,16 +224,11 @@ Result<RunAppResult<App>> RunConcurrent(const PartitionedGraph* graph,
                                            std::move(app), options.propagation,
                                            options.runtime);
     SURFER_RETURN_IF_ERROR(executor.Run());
-    RunAppResult<App> result;
-    result.states = executor.states();
-    result.virtual_outputs = executor.virtual_outputs();
-    result.runtime_stats = executor.stats();
+    RunAppResult<App> result =
+        RealEngineResult<App>(executor, graph, topology->num_machines());
     if (executor.telemetry() != nullptr && executor.telemetry()->enabled()) {
       result.telemetry = executor.telemetry()->ToJson();
     }
-    result.link_network_bytes = NetworkLinkBytes(
-        executor.stats().link_bytes, topology->num_machines());
-    result.graph = graph;
     return result;
   } else {
     (void)graph;
@@ -247,16 +252,11 @@ Result<RunAppResult<App>> RunDistributed(const PartitionedGraph* graph,
                                            std::move(app), options.propagation,
                                            options.distributed);
     SURFER_RETURN_IF_ERROR(executor.Run());
-    RunAppResult<App> result;
-    result.states = executor.states();
-    result.virtual_outputs = executor.virtual_outputs();
-    result.runtime_stats = executor.stats();
+    RunAppResult<App> result =
+        RealEngineResult<App>(executor, graph, topology->num_machines());
     if (executor.cluster_report().is_object()) {
       result.cluster = executor.cluster_report();
     }
-    result.link_network_bytes = NetworkLinkBytes(
-        executor.stats().link_bytes, topology->num_machines());
-    result.graph = graph;
     return result;
   } else {
     (void)graph;

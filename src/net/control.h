@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -14,6 +16,52 @@
 
 namespace surfer {
 namespace net {
+
+// Control codec. Every control message lists its fields once, in wire
+// order, in a static `Fields(m, f)` that calls `f` with all of them
+// (`FieldList` supplies the list for a type that cannot carry one), and
+// one Encode/Decode pair walks that list under three rules:
+//  - a scalar (integer, enum, double, padding-free struct) goes as its raw
+//    bytes;
+//  - a vector goes as a u32 count and then its elements: raw when the
+//    element type has no padding, field by field when it has a field list.
+//    The decoder checks the count against the bytes left before it
+//    allocates anything;
+//  - bytes left after the last field make the payload Corruption.
+// Nothing else goes on the wire (no tags, no per-field headers), so a
+// struct's field order and widths are its layout: changing either changes
+// the bytes and needs a kFrameVersion bump.
+
+/// The field list of a control type: its own static `Fields`, if any.
+template <typename T>
+struct FieldList {
+  template <typename M, typename F>
+  static auto Apply(M& m, F&& f)
+      -> decltype(std::remove_const_t<M>::Fields(m, f)) {
+    std::remove_const_t<M>::Fields(m, f);
+  }
+};
+
+/// RuntimeFaultPlan's wire fields: u32 machine, i32 iteration, u8 stage,
+/// u32 after_tasks (13 bytes; the struct itself is padded).
+template <>
+struct FieldList<runtime::RuntimeFaultPlan> {
+  template <typename M, typename F>
+  static void Apply(M& m, F&& f) {
+    f(m.machine, m.iteration, m.stage, m.after_tasks);
+  }
+};
+
+template <typename T>
+concept HasFieldList =
+    requires(T& t) { FieldList<T>::Apply(t, [](auto&...) {}); };
+
+/// `m` as its base class `B`, keeping m's constness (a field list names a
+/// base class as one field).
+template <typename B, typename M>
+auto& AsBase(M& m) {
+  return static_cast<std::conditional_t<std::is_const_v<M>, const B, B>&>(m);
+}
 
 /// What a BSP round asks the workers to do. kTransfer and kCombine map to
 /// the two halves of a superstep; kResend is the recovery-only round that
@@ -31,6 +79,8 @@ enum class RoundKind : uint8_t {
 struct HelloMsg {
   uint32_t proc = 0;
   uint16_t mesh_port = 0;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.proc, m.mesh_port); }
 };
 
 /// coordinator -> workers: every process's mesh listener port, indexed by
@@ -38,6 +88,8 @@ struct HelloMsg {
 /// j < i, accepts from every j > i).
 struct PeersMsg {
   std::vector<uint16_t> ports;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.ports); }
 };
 
 /// coordinator -> workers: the replica placement table (row-major partition
@@ -64,6 +116,12 @@ struct PlacementMsg {
   uint32_t stall_proc = 0xFFFFFFFFu;
   int32_t stall_iteration = 0;
   uint32_t stall_ms = 0;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(m.num_machines, m.num_partitions, m.replication, m.fault_tolerant,
+      m.replicas, m.faults, m.heartbeat_period_ms, m.clock_sync_pings,
+      m.stall_proc, m.stall_iteration, m.stall_ms);
+  }
 };
 
 /// coordinator -> workers: one round of the barrier protocol. `seq` is a
@@ -83,6 +141,11 @@ struct RoundMsg {
   std::vector<MachineId> exec;      ///< per partition
   std::vector<MachineId> route;     ///< per partition
   std::vector<MachineId> reexec;    ///< per partition
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(m.seq, m.iteration, m.kind, m.recovery, m.alive, m.exec, m.route,
+      m.reexec);
+  }
 };
 
 /// worker -> coordinator after each completed task.
@@ -91,12 +154,18 @@ struct TaskDoneMsg {
   uint32_t machine = 0;
   int32_t iteration = 0;
   uint8_t kind = 0;  ///< RoundKind of the round the task ran in
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(m.partition, m.machine, m.iteration, m.kind);
+  }
 };
 
 /// worker -> coordinator (kRoundDone) and worker -> worker (kEos).
 struct SeqMsg {
   uint32_t seq = 0;
   uint32_t src_proc = 0;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.seq, m.src_proc); }
 };
 
 /// worker -> coordinator, periodic (kHeartbeat): a snapshot of the worker's
@@ -114,6 +183,12 @@ struct HeartbeatMsg {
   uint64_t rss_bytes = 0;      ///< 0 when /proc-based sampling is unavailable
   uint32_t barrier_waiting = 0;    ///< 1 while blocked in the EOS drain wait
   uint64_t unix_us = 0;        ///< worker clock when the snapshot was taken
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(m.proc, m.stage, m.iteration, m.round_seq, m.mailbox_frames,
+      m.inflight_bytes, m.staged_wire_bytes, m.rss_bytes, m.barrier_waiting,
+      m.unix_us);
+  }
 };
 
 /// HeartbeatMsg::stage value meaning "no round is executing".
@@ -126,17 +201,23 @@ inline constexpr uint32_t kIdleStage = 0xFFFFFFFFu;
 /// at the client.
 struct ClockPingMsg {
   uint32_t seq = 0;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.seq); }
 };
 struct ClockPongMsg {
   uint32_t seq = 0;
   uint64_t t1 = 0;  ///< echoed ping send stamp (client clock)
   uint64_t t2 = 0;  ///< ping receive stamp (server clock)
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.seq, m.t1, m.t2); }
 };
 /// client -> server at session end: the client's offset estimate so both
 /// ends of the link agree (the server stores the negation).
 struct ClockOffsetMsg {
   int64_t offset_us = 0;       ///< server clock minus client clock
   uint64_t uncertainty_us = 0; ///< half the minimum observed round trip
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.offset_us, m.uncertainty_us); }
 };
 
 /// One per-(round, inbound link) latency/queueing record accumulated by the
@@ -171,6 +252,11 @@ struct StateUpdateMsg {
   std::vector<uint8_t> states;    ///< count * sizeof(VertexState) raw bytes
   uint32_t virtual_count = 0;
   std::vector<uint8_t> virtuals;  ///< virtual_count * (u64 id + VirtualOutput)
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(m.partition, m.iteration, m.begin, m.count, m.states, m.virtual_count,
+      m.virtuals);
+  }
 };
 
 /// worker -> coordinator at finalize: counters and the worker's additive
@@ -187,6 +273,12 @@ struct WorkerStatsMsg : runtime::EngineCounters {
   std::vector<uint64_t> clock_uncertainty_us;
   /// Per-(round, inbound link) latency records from frame stamps.
   std::vector<RoundLinkStat> round_link_stats;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(AsBase<runtime::EngineCounters>(m), m.combine_scatter_seconds,
+      m.peak_rss_bytes, m.heartbeats_sent, m.clock_synced, m.link_bytes,
+      m.clock_offset_us, m.clock_uncertainty_us, m.round_link_stats);
+  }
 };
 
 /// worker -> coordinator at finalize: one partition's final vertex states,
@@ -199,6 +291,10 @@ struct FinalStateMsg {
   uint32_t begin = 0;
   uint32_t count = 0;
   std::vector<uint8_t> states;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) {
+    f(m.partition, m.version, m.begin, m.count, m.states);
+  }
 };
 
 /// worker -> coordinator at finalize: iteration-stamped virtual-vertex
@@ -207,19 +303,9 @@ struct FinalVirtualMsg {
   uint32_t entry_bytes = 0;  ///< sizeof(VirtualOutput)
   uint32_t count = 0;
   std::vector<uint8_t> entries;
+  template <typename M, typename F>
+  static void Fields(M& m, F&& f) { f(m.entry_bytes, m.count, m.entries); }
 };
-
-std::vector<uint8_t> EncodeHello(const HelloMsg& msg);
-Result<HelloMsg> DecodeHello(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodePeers(const PeersMsg& msg);
-Result<PeersMsg> DecodePeers(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodePlacement(const PlacementMsg& msg);
-Result<PlacementMsg> DecodePlacement(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeRound(const RoundMsg& msg);
-Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload);
 
 /// Checks a decoded round before a worker acts on it: a known kind, an
 /// iteration in [0, iterations), one `alive` entry per machine, one
@@ -230,35 +316,14 @@ Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload);
 Status ValidateRound(const RoundMsg& round, uint32_t num_partitions,
                      uint32_t num_machines, int iterations);
 
-std::vector<uint8_t> EncodeTaskDone(const TaskDoneMsg& msg);
-Result<TaskDoneMsg> DecodeTaskDone(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeSeq(const SeqMsg& msg);
-Result<SeqMsg> DecodeSeq(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeHeartbeat(const HeartbeatMsg& msg);
-Result<HeartbeatMsg> DecodeHeartbeat(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeClockPing(const ClockPingMsg& msg);
-Result<ClockPingMsg> DecodeClockPing(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeClockPong(const ClockPongMsg& msg);
-Result<ClockPongMsg> DecodeClockPong(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeClockOffset(const ClockOffsetMsg& msg);
-Result<ClockOffsetMsg> DecodeClockOffset(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeStateUpdate(const StateUpdateMsg& msg);
-Result<StateUpdateMsg> DecodeStateUpdate(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeWorkerStats(const WorkerStatsMsg& msg);
-Result<WorkerStatsMsg> DecodeWorkerStats(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeFinalState(const FinalStateMsg& msg);
-Result<FinalStateMsg> DecodeFinalState(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeFinalVirtual(const FinalVirtualMsg& msg);
-Result<FinalVirtualMsg> DecodeFinalVirtual(const std::vector<uint8_t>& payload);
+/// Checks a task report from process `proc` against the round in flight
+/// before the coordinator records it: the partition is < num_partitions,
+/// the machine is < num_machines and hosted by `proc` (m % num_processes ==
+/// proc), and kind and iteration are the round's. Corruption naming the
+/// first violation otherwise.
+Status ValidateTaskDone(const TaskDoneMsg& task, const RoundMsg& round,
+                        uint32_t proc, uint32_t num_processes,
+                        uint32_t num_partitions, uint32_t num_machines);
 
 /// The shape of a received block of vertex states: a replication update
 /// (StateUpdateMsg, which also carries virtual outputs) or a final state.
@@ -280,6 +345,97 @@ struct StateBlock {
 Status ValidateStateBlock(const StateBlock& block,
                           const PartitionedGraph& graph, size_t state_size,
                           size_t virtual_entry_size);
+
+namespace codec {
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename E>
+struct IsVector<std::vector<E>> : std::true_type {};
+
+template <typename T>
+void Put(std::vector<uint8_t>& out, const T& value) {
+  if constexpr (HasFieldList<T>) {
+    FieldList<T>::Apply(value,
+                        [&](const auto&... field) { (Put(out, field), ...); });
+  } else if constexpr (IsVector<T>::value) {
+    using E = typename T::value_type;
+    runtime::AppendPod(out, static_cast<uint32_t>(value.size()));
+    if constexpr (HasFieldList<E>) {
+      for (const E& element : value) {
+        Put(out, element);
+      }
+    } else {
+      static_assert(std::has_unique_object_representations_v<E>,
+                    "a padded vector element needs a field list");
+      const auto* bytes = reinterpret_cast<const uint8_t*>(value.data());
+      out.insert(out.end(), bytes, bytes + value.size() * sizeof(E));
+    }
+  } else {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T> ||
+                      std::has_unique_object_representations_v<T>,
+                  "a padded field needs a field list");
+    runtime::AppendPod(out, value);
+  }
+}
+
+template <typename T>
+Status Get(PayloadReader& in, T& value) {
+  if constexpr (HasFieldList<T>) {
+    Status status;
+    FieldList<T>::Apply(value, [&](auto&... field) {
+      (... && (status = Get(in, field)).ok());
+    });
+    return status;
+  } else if constexpr (IsVector<T>::value) {
+    using E = typename T::value_type;
+    uint32_t count = 0;
+    SURFER_RETURN_IF_ERROR(in.Read(&count));
+    // An element takes sizeof(E) bytes raw and at least one field by field,
+    // so a count the bytes left cannot hold is refused before allocating;
+    // field-by-field elements then grow the vector only as they decode.
+    if (count > in.remaining() / (HasFieldList<E> ? 1 : sizeof(E))) {
+      return Status::Corruption("control vector length exceeds payload");
+    }
+    value.clear();
+    if constexpr (HasFieldList<E>) {
+      for (uint32_t i = 0; i < count; ++i) {
+        SURFER_RETURN_IF_ERROR(Get(in, value.emplace_back()));
+      }
+    } else if (count > 0) {
+      value.resize(count);
+      return in.ReadBytes(value.data(), value.size() * sizeof(E));
+    }
+    return Status::OK();
+  } else {
+    return in.Read(&value);
+  }
+}
+
+}  // namespace codec
+
+/// The payload of one control message.
+template <HasFieldList Msg>
+std::vector<uint8_t> Encode(const Msg& msg) {
+  std::vector<uint8_t> out;
+  codec::Put(out, msg);
+  return out;
+}
+
+/// Decodes a payload written by Encode<Msg>. Corruption when it is short,
+/// when a vector count exceeds the bytes left, or when bytes are left over.
+template <HasFieldList Msg>
+Result<Msg> Decode(const std::vector<uint8_t>& payload) {
+  PayloadReader reader(payload);
+  Msg msg;
+  SURFER_RETURN_IF_ERROR(codec::Get(reader, msg));
+  if (reader.remaining() != 0) {
+    return Status::Corruption("control payload has " +
+                              std::to_string(reader.remaining()) +
+                              " trailing bytes");
+  }
+  return msg;
+}
 
 }  // namespace net
 }  // namespace surfer

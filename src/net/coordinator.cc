@@ -122,15 +122,14 @@ Status DistributedCoordinator::HandshakeAll() {
       return Status::Internal("expected kHello from worker " +
                               std::to_string(i));
     }
-    SURFER_ASSIGN_OR_RETURN(HelloMsg hello, DecodeHello(frame.payload));
+    SURFER_ASSIGN_OR_RETURN(HelloMsg hello, Decode<HelloMsg>(frame.payload));
     if (hello.proc != i) {
       return Status::Internal("worker identity mismatch in hello");
     }
     peers.ports[i] = hello.mesh_port;
   }
-  const std::vector<uint8_t> peers_payload = EncodePeers(peers);
-  const std::vector<uint8_t> placement_payload =
-      EncodePlacement(params_.placement);
+  const std::vector<uint8_t> peers_payload = Encode(peers);
+  const std::vector<uint8_t> placement_payload = Encode(params_.placement);
   for (uint32_t i = 0; i < params_.num_processes; ++i) {
     SURFER_RETURN_IF_ERROR(
         WriteFrame(procs_[i].control, FrameType::kPeers, peers_payload));
@@ -232,7 +231,6 @@ Status DistributedCoordinator::RunStage(RoundKind stage_kind, int iteration,
         const std::vector<MachineId> assignees = round.exec;
         int deaths = 0;
         SURFER_RETURN_IF_ERROR(DriveRound(std::move(round), out, &deaths));
-        ++out->recovery_rounds;
         if (deaths == 0) {
           // A clean resend collapses each rebuilt partition's holder set to
           // its new (alive) assignee. A resend interrupted by another death
@@ -285,9 +283,6 @@ Status DistributedCoordinator::RunStage(RoundKind stage_kind, int iteration,
     }
     int deaths = 0;
     SURFER_RETURN_IF_ERROR(DriveRound(std::move(round), out, &deaths));
-    if (recovery) {
-      ++out->recovery_rounds;
-    }
     recovery = true;
   }
 }
@@ -307,7 +302,7 @@ Status DistributedCoordinator::DriveRound(RoundMsg round,
   for (LiveProc& lp : live_) {
     lp.straggler = false;
   }
-  const std::vector<uint8_t> payload = EncodeRound(round);
+  const std::vector<uint8_t> payload = Encode(round);
   std::vector<uint8_t> expect(procs_.size(), 0);
   size_t waiting = 0;
   for (uint32_t i = 0; i < procs_.size(); ++i) {
@@ -336,10 +331,10 @@ Status DistributedCoordinator::DriveRound(RoundMsg round,
     switch (event.frame.type) {
       case FrameType::kTaskDone: {
         SURFER_ASSIGN_OR_RETURN(TaskDoneMsg task,
-                                DecodeTaskDone(event.frame.payload));
-        if (task.partition >= done_.size()) {
-          return Status::Internal("task-done partition out of range");
-        }
+                                Decode<TaskDoneMsg>(event.frame.payload));
+        SURFER_RETURN_IF_ERROR(ValidateTaskDone(
+            task, round, event.proc, params_.num_processes,
+            params_.placement.num_partitions, params_.num_machines));
         if (task.kind == static_cast<uint8_t>(RoundKind::kResend)) {
           transfer_exec_[task.partition] = task.machine;
         } else {
@@ -351,7 +346,8 @@ Status DistributedCoordinator::DriveRound(RoundMsg round,
         break;
       }
       case FrameType::kRoundDone: {
-        SURFER_ASSIGN_OR_RETURN(SeqMsg done, DecodeSeq(event.frame.payload));
+        SURFER_ASSIGN_OR_RETURN(SeqMsg done,
+                                Decode<SeqMsg>(event.frame.payload));
         if (done.seq == round.seq && expect[event.proc]) {
           record.done_unix_us[event.proc] = NowUnixUs();
           expect[event.proc] = 0;
@@ -361,7 +357,7 @@ Status DistributedCoordinator::DriveRound(RoundMsg round,
       }
       case FrameType::kHeartbeat: {
         SURFER_ASSIGN_OR_RETURN(HeartbeatMsg hb,
-                                DecodeHeartbeat(event.frame.payload));
+                                Decode<HeartbeatMsg>(event.frame.payload));
         NoteHeartbeat(event.proc, hb);
         break;
       }
@@ -609,7 +605,7 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
       switch (frame->type) {
         case FrameType::kWorkerStats: {
           SURFER_ASSIGN_OR_RETURN(WorkerStatsMsg stats,
-                                  DecodeWorkerStats(frame->payload));
+                                  Decode<WorkerStatsMsg>(frame->payload));
           AddStats(out->totals, stats);
           out->peak_worker_rss_bytes =
               std::max(out->peak_worker_rss_bytes, stats.peak_rss_bytes);
@@ -618,13 +614,13 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
         }
         case FrameType::kFinalState: {
           SURFER_ASSIGN_OR_RETURN(FinalStateMsg state,
-                                  DecodeFinalState(frame->payload));
+                                  Decode<FinalStateMsg>(frame->payload));
           out->states.push_back(std::move(state));
           break;
         }
         case FrameType::kFinalVirtual: {
           SURFER_ASSIGN_OR_RETURN(FinalVirtualMsg virtuals,
-                                  DecodeFinalVirtual(frame->payload));
+                                  Decode<FinalVirtualMsg>(frame->payload));
           out->virtuals.push_back(std::move(virtuals));
           break;
         }

@@ -51,8 +51,7 @@ struct CoordinatorOutcome {
   /// Workers' counters summed; link_bytes is the full M x M matrix.
   WorkerStatsMsg totals;
   uint32_t machine_failures = 0;
-  uint64_t rounds = 0;           ///< BSP rounds driven (>= 2 per iteration)
-  uint64_t recovery_rounds = 0;  ///< re-assignment + resend rounds
+  uint64_t rounds = 0;  ///< BSP rounds driven (>= 2 per iteration)
   /// Per-partition final states as received, possibly several versions of
   /// the same partition from different replica holders; the executor keeps
   /// the highest-version copy.

@@ -59,8 +59,6 @@ struct DistributedOptions {
   /// ownership rule, so a process death is a correlated failure of its
   /// hosted machine group.
   uint32_t max_processes = 0;
-  /// Wire-plane staging knobs (shared with the threaded runtime).
-  runtime::WireBatchOptions wire;
   /// Task-granular fault plans. Here a plan kills the *process* hosting the
   /// planned machine (flushing completed-task output first), so recovery
   /// exercises real process death, reconnect-free mesh degradation, and
@@ -169,7 +167,7 @@ class DistributedWorker {
       }
       switch (frame->type) {
         case FrameType::kRound: {
-          Result<RoundMsg> round = DecodeRound(frame->payload);
+          Result<RoundMsg> round = Decode<RoundMsg>(frame->payload);
           if (!round.ok() || !ValidateRound(*round, num_partitions_,
                                             num_machines_, config_.iterations)
                                   .ok()) {
@@ -231,6 +229,13 @@ class DistributedWorker {
 
   bool HostedHere(MachineId m) const { return m % num_procs_ == proc_; }
 
+  /// The superstep a round books to: a resend round rebuilds inboxes for
+  /// its iteration's combine.
+  static runtime::RuntimeStage StageOf(RoundKind kind) {
+    return kind == RoundKind::kTransfer ? runtime::RuntimeStage::kTransfer
+                                        : runtime::RuntimeStage::kCombine;
+  }
+
   bool Setup(const PlacementMsg& placement) {
     num_machines_ = placement.num_machines;
     num_partitions_ = placement.num_partitions;
@@ -271,14 +276,16 @@ class DistributedWorker {
     pool_ = std::make_unique<runtime::WireBufferPool>();
     table_ = std::make_unique<runtime::PartitionTable<App>>(
         graph_, Kernel(app_, *graph_).InitStates(), std::move(primaries));
+    const auto origin = std::chrono::steady_clock::now();
     host_ = std::make_unique<Host>(
         typename Host::Env{.app = &app_,
                            .config = config_,
-                           .wire = options_.wire,
+                           .wire = {},
                            .fault = &fault_,
                            .pool = pool_.get(),
                            .table = table_.get(),
-                           .num_machines = num_machines_},
+                           .num_machines = num_machines_,
+                           .origin = origin},
         proc_, num_procs_);
     state_version_.assign(num_partitions_, -1);
     counters_.link_bytes.assign(
@@ -295,23 +302,14 @@ class DistributedWorker {
       telemetry_->RegisterGauge("dist_recv_latency_us", "us", [this] {
         return static_cast<double>(transport_.LastRecvLatencyUs());
       });
-      // Registered only when the probe works: an always-zero gauge would
-      // read as a measurement, not a failure to measure.
-      if (obs::ReadMemoryUsage().available) {
-        telemetry_->RegisterGauge(
-            "proc_rss_bytes", "bytes",
-            [] {
-              return static_cast<double>(obs::ReadMemoryUsage().rss_bytes);
-            },
-            /*ceiling=*/0.0, /*period_multiple=*/16);
-      }
+      telemetry_->RegisterRssGauge();
       // The sampler thread must never take the process-directed SIGTERM:
       // only the main thread owns the graceful-exit interrupt.
       sigset_t block, old;
       sigemptyset(&block);
       sigaddset(&block, SIGTERM);
       pthread_sigmask(SIG_BLOCK, &block, &old);
-      telemetry_->Start();
+      telemetry_->Start(origin);
       pthread_sigmask(SIG_SETMASK, &old, nullptr);
     }
     return true;
@@ -356,10 +354,7 @@ class DistributedWorker {
       ExecuteResend(round);
     } else {
       TcpLink link{this, &round};
-      host_->RunRound(link, round.iteration,
-                      round.kind == RoundKind::kTransfer
-                          ? runtime::RuntimeStage::kTransfer
-                          : runtime::RuntimeStage::kCombine,
+      host_->RunRound(link, round.iteration, StageOf(round.kind),
                       round.recovery != 0, round.exec, round.route);
     }
     FinishRound(round);
@@ -370,7 +365,7 @@ class DistributedWorker {
   /// retained batches and re-executing the transfer tasks whose producer
   /// died with its retained output.
   void ExecuteResend(const RoundMsg& round) {
-    host_->SetStep(round.iteration, runtime::RuntimeStage::kCombine);
+    host_->SetStep(round.iteration, StageOf(round.kind));
     // Clear before the first mailbox pop of this round: replayed frames that
     // raced ahead of our own replay work sit safely in the transport mailbox
     // until PumpMailbox runs (pumps only happen inside rounds).
@@ -394,10 +389,14 @@ class DistributedWorker {
     }
   }
 
+  /// Ends a round: EOS to every peer, then the drain wait until every peer
+  /// is dead or past EOS, booked as barrier time (a resend round's to its
+  /// iteration's combine step).
   void FinishRound(const RoundMsg& round) {
     if (!transport_.BroadcastEos(round.seq).ok()) {
       Die();
     }
+    const auto drain_start = std::chrono::steady_clock::now();
     barrier_waiting_ = true;
     for (;;) {
       PumpMailbox();
@@ -414,10 +413,14 @@ class DistributedWorker {
     // Every peer is dead or past-EOS, and each receiver pushes a link's data
     // frames before recording its EOS — one final pump empties the round.
     PumpMailbox();
+    host_->AddIdle(round.iteration, StageOf(round.kind),
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - drain_start)
+                       .count());
     SeqMsg done;
     done.seq = round.seq;
     done.src_proc = proc_;
-    if (!transport_.SendControl(FrameType::kRoundDone, EncodeSeq(done)).ok()) {
+    if (!transport_.SendControl(FrameType::kRoundDone, Encode(done)).ok()) {
       Die();
     }
     current_stage_ = kIdleStage;
@@ -447,8 +450,7 @@ class DistributedWorker {
     hb.rss_bytes = memory.available ? memory.rss_bytes : 0;
     hb.barrier_waiting = barrier_waiting_ ? 1 : 0;
     hb.unix_us = static_cast<uint64_t>(now);
-    if (transport_.SendControl(FrameType::kHeartbeat, EncodeHeartbeat(hb))
-            .ok()) {
+    if (transport_.SendControl(FrameType::kHeartbeat, Encode(hb)).ok()) {
       ++counters_.heartbeats_sent;
     }
   }
@@ -476,8 +478,7 @@ class DistributedWorker {
     msg.machine = m;
     msg.iteration = round.iteration;
     msg.kind = static_cast<uint8_t>(round.kind);
-    if (!transport_.SendControl(FrameType::kTaskDone, EncodeTaskDone(msg))
-             .ok()) {
+    if (!transport_.SendControl(FrameType::kTaskDone, Encode(msg)).ok()) {
       Die();
     }
   }
@@ -552,7 +553,7 @@ class DistributedWorker {
       runtime::AppendPod(msg.virtuals, id);
       runtime::AppendPod(msg.virtuals, output);
     }
-    const std::vector<uint8_t> payload = EncodeStateUpdate(msg);
+    const std::vector<uint8_t> payload = Encode(msg);
     std::set<uint32_t> targets;
     for (MachineId r : replicas_[p]) {
       if (r != kInvalidMachine && r < num_machines_ && !HostedHere(r)) {
@@ -688,9 +689,7 @@ class DistributedWorker {
     heartbeat_period_ms_ = 0;
     telemetry_->Stop();
     const WorkerStatsMsg stats = BuildStatsMsg();
-    if (!transport_
-             .SendControl(FrameType::kWorkerStats, EncodeWorkerStats(stats))
-             .ok()) {
+    if (!transport_.SendControl(FrameType::kWorkerStats, Encode(stats)).ok()) {
       Die();
     }
     for (PartitionId p = 0; p < num_partitions_; ++p) {
@@ -700,9 +699,7 @@ class DistributedWorker {
       FinalStateMsg msg;
       PackStates(p, table_->states, msg);
       msg.version = state_version_[p];
-      if (!transport_
-               .SendControl(FrameType::kFinalState, EncodeFinalState(msg))
-               .ok()) {
+      if (!transport_.SendControl(FrameType::kFinalState, Encode(msg)).ok()) {
         Die();
       }
     }
@@ -715,9 +712,7 @@ class DistributedWorker {
         runtime::AppendPod(msg.entries, entry.first);   // int32_t version
         runtime::AppendPod(msg.entries, entry.second);  // VirtualOutput
       }
-      if (!transport_
-               .SendControl(FrameType::kFinalVirtual, EncodeFinalVirtual(msg))
-               .ok()) {
+      if (!transport_.SendControl(FrameType::kFinalVirtual, Encode(msg)).ok()) {
         Die();
       }
     }

@@ -37,13 +37,13 @@ Result<ClockOffsetMsg> RunClockSyncClient(Socket& sock, uint32_t pings) {
   for (uint32_t k = 0; k < pings; ++k) {
     ClockPingMsg ping;
     ping.seq = k;
-    SURFER_RETURN_IF_ERROR(
-        WriteFrame(sock, FrameType::kPing, EncodeClockPing(ping)));
+    SURFER_RETURN_IF_ERROR(WriteFrame(sock, FrameType::kPing, Encode(ping)));
     SURFER_ASSIGN_OR_RETURN(Frame frame, ReadFrame(sock));
     if (frame.type != FrameType::kPong) {
       return Status::Internal("expected kPong during clock sync");
     }
-    SURFER_ASSIGN_OR_RETURN(ClockPongMsg pong, DecodeClockPong(frame.payload));
+    SURFER_ASSIGN_OR_RETURN(ClockPongMsg pong,
+                            Decode<ClockPongMsg>(frame.payload));
     if (pong.seq != k) {
       return Status::Internal("clock-sync pong out of sequence");
     }
@@ -59,7 +59,7 @@ Result<ClockOffsetMsg> RunClockSyncClient(Socket& sock, uint32_t pings) {
     }
   }
   SURFER_RETURN_IF_ERROR(
-      WriteFrame(sock, FrameType::kClockOffset, EncodeClockOffset(best)));
+      WriteFrame(sock, FrameType::kClockOffset, Encode(best)));
   return best;
 }
 
@@ -68,18 +68,17 @@ Result<ClockOffsetMsg> RunClockSyncServer(Socket& sock) {
     SURFER_ASSIGN_OR_RETURN(Frame frame, ReadFrame(sock));
     if (frame.type == FrameType::kPing) {
       SURFER_ASSIGN_OR_RETURN(ClockPingMsg ping,
-                              DecodeClockPing(frame.payload));
+                              Decode<ClockPingMsg>(frame.payload));
       ClockPongMsg pong;
       pong.seq = ping.seq;
       pong.t1 = frame.send_unix_us;
       pong.t2 = frame.recv_unix_us;
-      SURFER_RETURN_IF_ERROR(
-          WriteFrame(sock, FrameType::kPong, EncodeClockPong(pong)));
+      SURFER_RETURN_IF_ERROR(WriteFrame(sock, FrameType::kPong, Encode(pong)));
       continue;
     }
     if (frame.type == FrameType::kClockOffset) {
       SURFER_ASSIGN_OR_RETURN(ClockOffsetMsg msg,
-                              DecodeClockOffset(frame.payload));
+                              Decode<ClockOffsetMsg>(frame.payload));
       // The client estimated (server - client); this end wants (peer - local).
       msg.offset_us = -msg.offset_us;
       return msg;
@@ -97,20 +96,21 @@ Status WorkerTransport::Handshake(PlacementMsg* placement_out) {
   hello.proc = proc_;
   hello.mesh_port = listener_.port();
   SURFER_RETURN_IF_ERROR(
-      WriteFrame(control_, FrameType::kHello, EncodeHello(hello)));
+      WriteFrame(control_, FrameType::kHello, Encode(hello)));
 
   SURFER_ASSIGN_OR_RETURN(Frame peers_frame, ReadFrame(control_));
   if (peers_frame.type != FrameType::kPeers) {
     return Status::Internal("expected kPeers during handshake");
   }
-  SURFER_ASSIGN_OR_RETURN(PeersMsg peers, DecodePeers(peers_frame.payload));
+  SURFER_ASSIGN_OR_RETURN(PeersMsg peers,
+                          Decode<PeersMsg>(peers_frame.payload));
 
   SURFER_ASSIGN_OR_RETURN(Frame placement_frame, ReadFrame(control_));
   if (placement_frame.type != FrameType::kPlacement) {
     return Status::Internal("expected kPlacement during handshake");
   }
   SURFER_ASSIGN_OR_RETURN(*placement_out,
-                          DecodePlacement(placement_frame.payload));
+                          Decode<PlacementMsg>(placement_frame.payload));
   ack_data_ = placement_out->fault_tolerant != 0;
 
   num_procs_ = static_cast<uint32_t>(peers.ports.size());
@@ -128,8 +128,7 @@ Status WorkerTransport::Handshake(PlacementMsg* placement_out) {
     SURFER_ASSIGN_OR_RETURN(Socket sock, ConnectLocal(peers.ports[j]));
     SeqMsg id;
     id.src_proc = proc_;
-    SURFER_RETURN_IF_ERROR(
-        WriteFrame(sock, FrameType::kMeshHello, EncodeSeq(id)));
+    SURFER_RETURN_IF_ERROR(WriteFrame(sock, FrameType::kMeshHello, Encode(id)));
     peers_[j]->sock = std::move(sock);
   }
   for (uint32_t j = proc_ + 1; j < num_procs_; ++j) {
@@ -138,7 +137,7 @@ Status WorkerTransport::Handshake(PlacementMsg* placement_out) {
     if (frame.type != FrameType::kMeshHello) {
       return Status::Internal("expected kMeshHello on mesh accept");
     }
-    SURFER_ASSIGN_OR_RETURN(SeqMsg id, DecodeSeq(frame.payload));
+    SURFER_ASSIGN_OR_RETURN(SeqMsg id, Decode<SeqMsg>(frame.payload));
     if (id.src_proc >= num_procs_ || id.src_proc <= proc_ ||
         peers_[id.src_proc]->sock.valid()) {
       return Status::Internal("mesh hello from unexpected process " +
@@ -256,7 +255,7 @@ Status WorkerTransport::BroadcastEos(uint32_t seq) {
   SeqMsg msg;
   msg.seq = seq;
   msg.src_proc = proc_;
-  const std::vector<uint8_t> payload = EncodeSeq(msg);
+  const std::vector<uint8_t> payload = Encode(msg);
   for (uint32_t j = 0; j < num_procs_; ++j) {
     if (j == proc_) {
       continue;
@@ -421,10 +420,6 @@ void WorkerTransport::ReceiverLoop(uint32_t peer_index) {
     const uint64_t clamped =
         latency > 0 ? static_cast<uint64_t>(latency) : 0;
     last_recv_latency_us_.store(clamped, std::memory_order_relaxed);
-    uint64_t prev = max_recv_latency_us_.load(std::memory_order_relaxed);
-    while (clamped > prev && !max_recv_latency_us_.compare_exchange_weak(
-                                 prev, clamped, std::memory_order_relaxed)) {
-    }
   };
   for (;;) {
     Result<Frame> frame = ReadFrame(p.sock);
@@ -453,7 +448,7 @@ void WorkerTransport::ReceiverLoop(uint32_t peer_index) {
         break;
       }
       case FrameType::kStateUpdate: {
-        Result<StateUpdateMsg> update = DecodeStateUpdate(frame->payload);
+        Result<StateUpdateMsg> update = Decode<StateUpdateMsg>(frame->payload);
         if (!update.ok()) {
           MarkDead(peer_index);
           return;
@@ -472,7 +467,7 @@ void WorkerTransport::ReceiverLoop(uint32_t peer_index) {
         break;
       }
       case FrameType::kEos: {
-        Result<SeqMsg> eos = DecodeSeq(frame->payload);
+        Result<SeqMsg> eos = Decode<SeqMsg>(frame->payload);
         if (!eos.ok()) {
           MarkDead(peer_index);
           return;

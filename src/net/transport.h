@@ -139,13 +139,10 @@ class WorkerTransport {
   /// Payload bytes pushed into the mailbox but not yet popped by the main
   /// thread (telemetry gauge: inbound queueing pressure).
   uint64_t InflightBytes();
-  /// Raw (uncorrected) one-way latency of the most recent / worst inbound
-  /// data frame, from its header stamps (telemetry gauges).
+  /// Raw (uncorrected) one-way latency of the most recent inbound data
+  /// frame, from its header stamps (telemetry gauge).
   uint64_t LastRecvLatencyUs() const {
     return last_recv_latency_us_.load(std::memory_order_relaxed);
-  }
-  uint64_t MaxRecvLatencyUs() const {
-    return max_recv_latency_us_.load(std::memory_order_relaxed);
   }
 
   /// Moves out the per-(round, link) latency records the receiver threads
@@ -210,7 +207,6 @@ class WorkerTransport {
   uint64_t inflight_bytes_ = 0;               ///< guarded by mu_
   std::vector<RoundLinkStat> link_stats_;     ///< guarded by mu_
   std::atomic<uint64_t> last_recv_latency_us_{0};
-  std::atomic<uint64_t> max_recv_latency_us_{0};
 };
 
 }  // namespace net

@@ -92,6 +92,15 @@ size_t TelemetryRecorder::RegisterGauge(std::string name, std::string unit,
   return series_.size() - 1;
 }
 
+void TelemetryRecorder::RegisterRssGauge() {
+  if (ReadMemoryUsage().available) {
+    RegisterGauge(
+        "proc_rss_bytes", "bytes",
+        [] { return static_cast<double>(ReadMemoryUsage().rss_bytes); },
+        /*ceiling=*/0.0, /*period_multiple=*/16);
+  }
+}
+
 void TelemetryRecorder::Start(Clock::time_point origin) {
   if (!options_.enabled || thread_.joinable()) {
     return;

@@ -109,6 +109,11 @@ class TelemetryRecorder {
   size_t RegisterGauge(std::string name, std::string unit, Provider provider,
                        double ceiling = 0.0, uint32_t period_multiple = 1);
 
+  /// Registers the "proc_rss_bytes" gauge: the /proc memory probe, sampled
+  /// every 16th tick so the base tick stays cheap. Skipped when the probe is
+  /// unavailable, since an all-zero series would read as a measurement.
+  void RegisterRssGauge();
+
   /// Starts the background sampler (no-op when disabled or no series are
   /// registered). `origin` anchors sample timestamps: pass the run's start
   /// instant so telemetry time aligns with the run's other clocks.

@@ -43,29 +43,9 @@ double BspBarrier::ArriveAndWait(const std::function<void()>& poll) {
       .count();
 }
 
-void BspBarrier::Defect() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (participants_ > 0) {
-    --participants_;
-  }
-  if (arrived_ > 0 && arrived_ >= participants_) {
-    arrived_ = 0;
-    ++generation_;
-    lock.unlock();
-    released_.notify_all();
-    return;
-  }
-  lock.unlock();
-}
-
 uint64_t BspBarrier::generation() const {
   std::lock_guard<std::mutex> lock(mu_);
   return generation_;
-}
-
-uint32_t BspBarrier::participants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return participants_;
 }
 
 }  // namespace runtime

@@ -18,9 +18,6 @@ namespace runtime {
 ///   - ArriveAndWait accepts a `poll` callback invoked periodically while
 ///     waiting, so a blocked worker keeps draining its inbound channels
 ///     (without this, a full channel could deadlock against the barrier).
-///   - Defect() removes a participant for all future generations, used when
-///     a worker thread exits early; if the defector was the last straggler
-///     of the current generation, the generation completes.
 class BspBarrier {
  public:
   explicit BspBarrier(uint32_t participants);
@@ -33,14 +30,10 @@ class BspBarrier {
   /// lock roughly once per millisecond while waiting.
   double ArriveAndWait(const std::function<void()>& poll = {});
 
-  /// Permanently removes one participant (caller must not arrive afterwards).
-  void Defect();
-
   uint64_t generation() const;
-  uint32_t participants() const;
 
   /// Participants currently parked inside ArriveAndWait. Lock-free mirror
-  /// for the telemetry sampler: a sustained value near participants() - 1
+  /// for the telemetry sampler: a sustained value near participants - 1
   /// means everyone is idling behind one straggler.
   uint32_t ApproxWaiting() const {
     return waiting_.load(std::memory_order_relaxed);
@@ -49,7 +42,7 @@ class BspBarrier {
  private:
   mutable std::mutex mu_;
   std::condition_variable released_;
-  uint32_t participants_;
+  const uint32_t participants_;
   uint32_t arrived_ = 0;
   uint64_t generation_ = 0;
   std::atomic<uint32_t> waiting_{0};

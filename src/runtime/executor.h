@@ -16,7 +16,6 @@
 #include "cluster/topology.h"
 #include "common/logging.h"
 #include "common/result.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_shard.h"
@@ -57,10 +56,6 @@ struct RuntimeOptions {
   /// Wire-plane staging knobs: batch size cap, flush deadline, and the
   /// wire-level local combination toggle (see WireBatchOptions).
   WireBatchOptions wire;
-  /// Ring slots of each worker's SPSC trace shard (rounded up to a power of
-  /// two). Per-task profiling events overflow into drop counts, never into
-  /// blocking; see RuntimeStats::trace_events_dropped.
-  size_t trace_shard_capacity = obs::ShardedTracer::kDefaultShardCapacity;
   /// Flight-recorder sampling of runtime gauges (channel occupancy, pool
   /// pressure, barrier membership, RSS): off by default. The instrumented
   /// hot paths only ever update relaxed atomics — one store per batch-level
@@ -121,7 +116,6 @@ class RuntimeExecutor {
     SURFER_RETURN_IF_ERROR(
         Kernel::Validate(graph_, placement_, topology_, config_));
     const auto wall_start = std::chrono::steady_clock::now();
-    run_start_ = wall_start;
     // Tracer time at the run's start instant: the offset that maps the
     // flight recorder's run-relative timestamps onto the tracer's origin
     // when counter events merge into the Chrome trace.
@@ -168,23 +162,20 @@ class RuntimeExecutor {
     // relaxed atomic touched at batch granularity, so keeping them
     // unconditional avoids a branch on the same paths. (The per-partition
     // inbox chunk counts live in the table, next to the inboxes.)
-    staged_wire_bytes_ =
-        std::make_unique<std::atomic<uint64_t>[]>(num_machines);
+    sent_wire_bytes_ = std::make_unique<std::atomic<uint64_t>[]>(num_machines);
     for (MachineId m = 0; m < num_machines; ++m) {
-      staged_wire_bytes_[m].store(0, std::memory_order_relaxed);
+      sent_wire_bytes_[m].store(0, std::memory_order_relaxed);
     }
     worker_state_ = std::make_unique<std::atomic<uint32_t>[]>(num_workers);
     for (uint32_t w = 0; w < num_workers; ++w) {
       worker_state_[w].store(0, std::memory_order_relaxed);
     }
-    step_bounds_.assign(static_cast<size_t>(config_.iterations) * 2,
-                        {0.0, 0.0});
     sharded_.reset();
     uint32_t transfer_name = 0;
     uint32_t combine_name = 0;
     if (config_.tracer != nullptr && obs::Tracer::CompiledIn()) {
-      sharded_ = std::make_unique<obs::ShardedTracer>(
-          config_.tracer, num_workers, options_.trace_shard_capacity);
+      sharded_ = std::make_unique<obs::ShardedTracer>(config_.tracer,
+                                                      num_workers);
       transfer_name =
           sharded_->InternName("rt_task_transfer", "runtime", "partition");
       combine_name =
@@ -197,7 +188,8 @@ class RuntimeExecutor {
                                  .fault = &fault_,
                                  .pool = pool_.get(),
                                  .table = table_.get(),
-                                 .num_machines = num_machines};
+                                 .num_machines = num_machines,
+                                 .origin = wall_start};
     hosts_.clear();
     hosts_.reserve(num_workers);
     for (uint32_t w = 0; w < num_workers; ++w) {
@@ -396,19 +388,19 @@ class RuntimeExecutor {
                               });
     if (num_machines_ <= kPerEntityCap) {
       for (MachineId m = 0; m < num_machines_; ++m) {
-        std::atomic<uint64_t>* staged = &staged_wire_bytes_[m];
+        std::atomic<uint64_t>* sent = &sent_wire_bytes_[m];
         telemetry_->RegisterGauge(
-            "rt_staged_wire_bytes.m" + std::to_string(m), "bytes", [staged] {
+            "rt_sent_wire_bytes.m" + std::to_string(m), "bytes", [sent] {
               return static_cast<double>(
-                  staged->load(std::memory_order_relaxed));
+                  sent->load(std::memory_order_relaxed));
             });
       }
     }
-    telemetry_->RegisterGauge("rt_staged_wire_bytes.total", "bytes", [this] {
+    telemetry_->RegisterGauge("rt_sent_wire_bytes.total", "bytes", [this] {
       double total = 0.0;
       for (MachineId m = 0; m < num_machines_; ++m) {
         total += static_cast<double>(
-            staged_wire_bytes_[m].load(std::memory_order_relaxed));
+            sent_wire_bytes_[m].load(std::memory_order_relaxed));
       }
       return total;
     });
@@ -471,16 +463,7 @@ class RuntimeExecutor {
         "rt_barrier_waiting", "threads",
         [barrier] { return static_cast<double>(barrier->ApproxWaiting()); },
         static_cast<double>(num_workers_ + 1));
-    // The /proc probe costs a file read; subsampled so the base tick stays
-    // cheap (see telemetry_sample microbenchmark). Not registered at all
-    // when the probe is unavailable — an all-zero series would read as a
-    // measurement.
-    if (obs::ReadMemoryUsage().available) {
-      telemetry_->RegisterGauge(
-          "proc_rss_bytes", "bytes",
-          [] { return static_cast<double>(obs::ReadMemoryUsage().rss_bytes); },
-          /*ceiling=*/0.0, /*period_multiple=*/16);
-    }
+    telemetry_->RegisterRssGauge();
   }
 
   /// Drives one BSP stage to completion, re-assigning the tasks of machines
@@ -495,11 +478,6 @@ class RuntimeExecutor {
         "runtime");
     const uint32_t num_partitions = graph_->num_partitions();
     std::fill(done_.begin(), done_.end(), uint8_t{0});
-    // Stage bounds relative to the run's start: the same clock and origin
-    // the flight recorder samples against, so telemetry windows correlate
-    // with supersteps by plain timestamp comparison.
-    const size_t step = Host::StepIndex(iteration, stage);
-    step_bounds_[step].first = SecondsSince(run_start_);
     bool recovery = false;
     for (;;) {
       // Assign every pending partition to its first alive replica holder
@@ -527,7 +505,6 @@ class RuntimeExecutor {
         ++pending;
       }
       if (pending == 0) {
-        step_bounds_[step].second = SecondsSince(run_start_);
         return Status::OK();
       }
       phase_ = std::move(phase);
@@ -604,7 +581,7 @@ class RuntimeExecutor {
   /// send spent blocked on channel backpressure (0 when the first TrySend
   /// lands), which flows back into the superstep timeline's blocked phase.
   double SendBatch(WireBatch&& batch, uint32_t w) {
-    staged_wire_bytes_[batch.src_machine].fetch_add(
+    sent_wire_bytes_[batch.src_machine].fetch_add(
         batch.wire_size(), std::memory_order_relaxed);
     BoundedChannel<WireBatch>& ch =
         *channels_[static_cast<size_t>(batch.src_machine) * num_machines_ +
@@ -649,10 +626,6 @@ class RuntimeExecutor {
       host->FoldCounters(stats_);
       host->FoldTimeline(stats_.timeline);
     }
-    for (size_t step = 0; step < stats_.timeline.size(); ++step) {
-      stats_.timeline[step].start_s = step_bounds_[step].first;
-      stats_.timeline[step].end_s = step_bounds_[step].second;
-    }
     // Mean/max over *workers only* (locals_[num_workers_] is the main
     // thread, whose waits overlap every worker's): the per-thread view that
     // stays comparable to wall_seconds where the overlapping sum does not.
@@ -685,69 +658,6 @@ class RuntimeExecutor {
     const obs::MemoryUsage memory = obs::ReadMemoryUsage();
     stats_.rss_bytes = memory.rss_bytes;
     stats_.peak_rss_bytes = memory.peak_rss_bytes;
-
-    obs::MetricsRegistry* metrics = config_.metrics;
-    if (metrics == nullptr) {
-      return;
-    }
-    metrics->CounterRef("runtime_runs_total").Increment();
-    metrics->CounterRef("runtime_tasks_executed")
-        .Increment(stats_.tasks_executed);
-    metrics->CounterRef("runtime_tasks_reexecuted")
-        .Increment(stats_.tasks_reexecuted);
-    metrics->CounterRef("runtime_machine_failures")
-        .Increment(stats_.machine_failures);
-    metrics->CounterRef("runtime_messages_sent")
-        .Increment(stats_.messages_sent);
-    metrics->CounterRef("runtime_buffers_sent").Increment(stats_.buffers_sent);
-    metrics->CounterRef("runtime_send_stalls").Increment(stats_.send_stalls);
-    metrics->CounterRef("runtime_items_stalled")
-        .Increment(stats_.items_stalled);
-    metrics->CounterRef("runtime_wire_batches_sent")
-        .Increment(stats_.wire_batches_sent);
-    metrics->CounterRef("runtime_wire_segments_sent")
-        .Increment(stats_.wire_segments_sent);
-    metrics->CounterRef("runtime_wire_payload_bytes")
-        .Increment(stats_.wire_payload_bytes);
-    metrics->CounterRef("runtime_wire_messages_combined")
-        .Increment(stats_.wire_messages_combined);
-    metrics->CounterRef("runtime_combine_messages_scattered")
-        .Increment(stats_.combine_messages_scattered);
-    metrics->CounterRef("runtime_frontier_vertices_skipped")
-        .Increment(stats_.frontier_vertices_skipped);
-    metrics->GaugeRef("runtime_combine_scatter_seconds")
-        .Set(stats_.combine_scatter_seconds);
-    metrics->CounterRef("runtime_barrier_generations")
-        .Increment(stats_.barrier_generations);
-    metrics->CounterRef("runtime_network_bytes")
-        .Increment(stats_.TotalNetworkBytes());
-    metrics->GaugeRef("runtime_wall_seconds").Set(stats_.wall_seconds);
-    metrics->GaugeRef("runtime_barrier_wait_seconds")
-        .Set(stats_.barrier_wait_seconds);
-    metrics->GaugeRef("runtime_barrier_wait_mean_seconds")
-        .Set(stats_.barrier_wait_mean_s);
-    metrics->GaugeRef("runtime_barrier_wait_max_seconds")
-        .Set(stats_.barrier_wait_max_s);
-    metrics->CounterRef("runtime_telemetry_samples")
-        .Increment(stats_.telemetry_samples);
-    metrics->CounterRef("runtime_telemetry_samples_dropped")
-        .Increment(stats_.telemetry_samples_dropped);
-    // Plain end-of-run memory gauges, exported whether or not the sampler
-    // ran: the bench plane gates peak RSS from these.
-    metrics->GaugeRef("process_rss_bytes")
-        .Set(static_cast<double>(stats_.rss_bytes));
-    metrics->GaugeRef("process_peak_rss_bytes")
-        .Set(static_cast<double>(stats_.peak_rss_bytes));
-    metrics->HistogramRef("runtime_channel_depth")
-        .Merge(stats_.channel_depth);
-    metrics->HistogramRef("runtime_barrier_wait").Merge(stats_.barrier_wait);
-    metrics->CounterRef("runtime_trace_events_dropped")
-        .Increment(stats_.trace_events_dropped);
-    double critical_busy = 0.0;
-    for (const CriticalPathEntry& entry : ComputeCriticalPath(stats_.timeline)) {
-      critical_busy += entry.busy_s;
-    }
-    metrics->GaugeRef("runtime_critical_path_busy_seconds").Set(critical_busy);
   }
 
   const PartitionedGraph* graph_;
@@ -782,9 +692,6 @@ class RuntimeExecutor {
   std::vector<uint8_t> alive_;
   std::vector<WorkerLocal> locals_;
 
-  /// (start_s, end_s) of each superstep relative to run_start_, stamped by
-  /// the main thread around the stage's barrier rounds.
-  std::vector<std::pair<double, double>> step_bounds_;
   std::unique_ptr<obs::ShardedTracer> sharded_;  ///< null when tracing is off
 
   // Flight-recorder plane. The atomic arrays are lock-free mirrors written
@@ -792,9 +699,9 @@ class RuntimeExecutor {
   // sampler thread; the recorder itself stops before Run returns, so its
   // providers never outlive the structures they read.
   std::unique_ptr<obs::TelemetryRecorder> telemetry_;
-  std::unique_ptr<std::atomic<uint64_t>[]> staged_wire_bytes_;   ///< per mach.
+  /// Per machine: wire bytes handed to its outbound channels so far.
+  std::unique_ptr<std::atomic<uint64_t>[]> sent_wire_bytes_;
   std::unique_ptr<std::atomic<uint32_t>[]> worker_state_;  ///< stage + 1, or 0
-  std::chrono::steady_clock::time_point run_start_;
 
   std::map<uint64_t, VirtualOutput> virtual_outputs_;
   RuntimeStats stats_;

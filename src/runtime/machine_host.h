@@ -130,6 +130,9 @@ class MachineHost {
     WireBufferPool* pool = nullptr;  ///< thread-safe payload freelist
     Table* table = nullptr;
     uint32_t num_machines = 0;
+    /// The run's origin (the time point its telemetry recorder starts
+    /// from): superstep bounds are seconds since it.
+    std::chrono::steady_clock::time_point origin;
   };
 
   /// Optional per-task trace spans, recorded into a lock-free shard.
@@ -155,6 +158,7 @@ class MachineHost {
     tasks_done_.assign(hosted_.size(), 0);
     phases_.assign(static_cast<size_t>(env_.config.iterations) * 2,
                    std::vector<PhaseSeconds>(hosted_.size()));
+    bounds_.assign(phases_.size(), {0.0, 0.0});
     link_bytes_.assign(
         static_cast<size_t>(env_.num_machines) * env_.num_machines, 0);
   }
@@ -176,14 +180,18 @@ class MachineHost {
   }
 
   /// Books received bytes and task time to superstep (iteration, stage)
-  /// from now on, 0 <= iteration < config.iterations. The per-machine task
-  /// counts fault plans trigger on restart with each new superstep, not
-  /// with each recovery round.
+  /// from now on, 0 <= iteration < config.iterations; the first entry
+  /// stamps the step's start. The per-machine task counts fault plans
+  /// trigger on restart with each new superstep, not with each recovery
+  /// round.
   void SetStep(int iteration, RuntimeStage stage) {
     const size_t step = StepIndex(iteration, stage);
     if (step != step_) {
       step_ = step;
       std::fill(tasks_done_.begin(), tasks_done_.end(), 0u);
+    }
+    if (bounds_[step].first == 0.0) {
+      bounds_[step].first = Seconds(Clock::now() - env_.origin);
     }
   }
 
@@ -296,11 +304,14 @@ class MachineHost {
   }
 
   /// Books idle seconds (barrier wait) against the hosted machines at
-  /// (iteration, stage), split evenly among them.
+  /// (iteration, stage), split evenly among them, once a round of that
+  /// step has passed its barrier; stamps the step's end.
   void AddIdle(int iteration, RuntimeStage stage, double seconds) {
-    for (PhaseSeconds& phase : phases_[StepIndex(iteration, stage)]) {
+    const size_t step = StepIndex(iteration, stage);
+    for (PhaseSeconds& phase : phases_[step]) {
       phase.barrier_s += seconds / static_cast<double>(hosted_.size());
     }
+    bounds_[step].second = Seconds(Clock::now() - env_.origin);
   }
 
   /// Payload bytes sitting in the stagers' open batches.
@@ -328,7 +339,8 @@ class MachineHost {
   }
 
   /// Adds the hosted machines' phases into `timeline` (one profile per
-  /// superstep, one PhaseSeconds per machine; created on first use).
+  /// superstep, one PhaseSeconds per machine; created on first use) and
+  /// widens each step's bounds to cover this host's (0 = not stamped).
   void FoldTimeline(std::vector<SuperstepProfile>& timeline) const {
     timeline.resize(phases_.size());
     for (size_t step = 0; step < phases_.size(); ++step) {
@@ -336,6 +348,12 @@ class MachineHost {
       profile.iteration = static_cast<int>(step / 2);
       profile.stage =
           step % 2 == 0 ? RuntimeStage::kTransfer : RuntimeStage::kCombine;
+      const auto [start_s, end_s] = bounds_[step];
+      if (start_s > 0.0 &&
+          (profile.start_s == 0.0 || start_s < profile.start_s)) {
+        profile.start_s = start_s;
+      }
+      profile.end_s = std::max(profile.end_s, end_s);
       profile.machines.resize(env_.num_machines);
       for (uint32_t slot = 0; slot < hosted_.size(); ++slot) {
         profile.machines[hosted_[slot]].MergeFrom(phases_[step][slot]);
@@ -441,6 +459,8 @@ class MachineHost {
   size_t step_ = 0;
   /// phases_[step][slot]: hosted machine `slot`'s time in that superstep.
   std::vector<std::vector<PhaseSeconds>> phases_;
+  /// bounds_[step]: (start_s, end_s) since env_.origin; 0 = not stamped.
+  std::vector<std::pair<double, double>> bounds_;
   EngineCounters counters_;
   double scatter_seconds_ = 0.0;
   std::vector<uint64_t> link_bytes_;  ///< row-major M x M priced bytes sent

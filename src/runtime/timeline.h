@@ -59,8 +59,9 @@ struct SuperstepProfile {
   int iteration = 0;
   RuntimeStage stage = RuntimeStage::kTransfer;
   /// Wall-clock bounds of the stage relative to the run's start (schema
-  /// v3), stamped by the main thread around the barrier rounds. Both zero
-  /// on profiles built by v1/v2-era producers; consumers correlating
+  /// v3), stamped by the machine hosts: the earliest entry into the stage
+  /// and the latest barrier that closed one of its rounds. Both zero on
+  /// profiles built by v1/v2-era producers; consumers correlating
   /// telemetry timestamps against supersteps must tolerate that.
   double start_s = 0.0;
   double end_s = 0.0;

@@ -368,15 +368,31 @@ TEST(NetDistributedTest, ArtifactsLandForEveryProcessAndMerge) {
     EXPECT_EQ(steps->as_array().size(),
               2u * static_cast<size_t>(config.iterations));
     bool hosted_busy = false;
+    bool hosted_waited = false;
+    double previous_start = 0.0;
+    double last_end = 0.0;
     for (const obs::JsonValue& step : steps->as_array()) {
       for (const obs::JsonValue& row : step.Find("machines")->as_array()) {
         const auto machine =
             static_cast<uint32_t>(row.Find("machine")->as_number());
         hosted_busy |= machine % 3 == proc &&
                        row.Find("busy_s")->as_number() > 0.0;
+        hosted_waited |= machine % 3 == proc &&
+                         row.Find("barrier_s")->as_number() > 0.0;
       }
+      // Superstep bounds, stamped by the worker's machine host.
+      const double start_s = step.Find("start_s")->as_number();
+      const double end_s = step.Find("end_s")->as_number();
+      EXPECT_GE(start_s, 0.0) << report;
+      EXPECT_LE(start_s, end_s) << report;
+      EXPECT_GE(start_s, previous_start) << report;
+      previous_start = start_s;
+      last_end = end_s;
     }
     EXPECT_TRUE(hosted_busy) << report;
+    // The EOS drain wait is booked as barrier time.
+    EXPECT_TRUE(hosted_waited) << report;
+    EXPECT_GT(last_end, 0.0) << report;
     std::ifstream in(trace);
     std::ostringstream text;
     text << in.rdbuf();

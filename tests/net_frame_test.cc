@@ -192,7 +192,7 @@ TEST(NetControlTest, RoundMsgRoundTrips) {
   msg.exec = {0, kInvalidMachine, 2};
   msg.route = {0, 2, 2};
   msg.reexec = {kInvalidMachine, kInvalidMachine, 1};
-  auto decoded = DecodeRound(EncodeRound(msg));
+  auto decoded = Decode<RoundMsg>(Encode(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->seq, msg.seq);
   EXPECT_EQ(decoded->iteration, msg.iteration);
@@ -218,7 +218,7 @@ RoundMsg WellFormedRound(RoundKind kind) {
 }
 
 Status DecodeAndValidate(const RoundMsg& msg) {
-  auto decoded = DecodeRound(EncodeRound(msg));
+  auto decoded = Decode<RoundMsg>(Encode(msg));
   if (!decoded.ok()) {
     return decoded.status();
   }
@@ -281,7 +281,7 @@ TEST(NetControlTest, WorkerStatsRoundTripWithLinkMatrix) {
   msg.replication_bytes = 13;
   msg.peak_rss_bytes = 1 << 20;
   msg.link_bytes = {0, 5, 10, 0};
-  auto decoded = DecodeWorkerStats(EncodeWorkerStats(msg));
+  auto decoded = Decode<WorkerStatsMsg>(Encode(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->tasks_executed, msg.tasks_executed);
   EXPECT_EQ(decoded->tasks_reexecuted, msg.tasks_reexecuted);
@@ -302,7 +302,7 @@ TEST(NetControlTest, StateUpdateRoundTrips) {
   msg.states = Bytes({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
   msg.virtual_count = 1;
   msg.virtuals = Bytes({42, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4});
-  auto decoded = DecodeStateUpdate(EncodeStateUpdate(msg));
+  auto decoded = Decode<StateUpdateMsg>(Encode(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->partition, msg.partition);
   EXPECT_EQ(decoded->iteration, msg.iteration);
@@ -326,7 +326,7 @@ TEST(NetControlTest, PlacementCarriesFaultPlansAndTolerance) {
   plan.stage = runtime::RuntimeStage::kCombine;
   plan.after_tasks = 2;
   msg.faults.push_back(plan);
-  auto decoded = DecodePlacement(EncodePlacement(msg));
+  auto decoded = Decode<PlacementMsg>(Encode(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->num_machines, msg.num_machines);
   EXPECT_EQ(decoded->fault_tolerant, 1);
@@ -386,11 +386,11 @@ TEST(NetFrameTest, HeartbeatFrameRoundTrips) {
   msg.unix_us = 1234567890;
 
   auto [a, b] = MustPair();
-  ASSERT_TRUE(WriteFrame(a, FrameType::kHeartbeat, EncodeHeartbeat(msg)).ok());
+  ASSERT_TRUE(WriteFrame(a, FrameType::kHeartbeat, Encode(msg)).ok());
   auto frame = ReadFrame(b);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame->type, FrameType::kHeartbeat);
-  auto decoded = DecodeHeartbeat(frame->payload);
+  auto decoded = Decode<HeartbeatMsg>(frame->payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->proc, msg.proc);
   EXPECT_EQ(decoded->stage, msg.stage);
@@ -409,7 +409,7 @@ TEST(NetFrameTest, TornHeartbeatFrameIsCorruption) {
   // socket closes after half of it — corruption taxonomy, not clean EOF.
   HeartbeatMsg msg;
   msg.proc = 1;
-  const std::vector<uint8_t> payload = EncodeHeartbeat(msg);
+  const std::vector<uint8_t> payload = Encode(msg);
   auto [a, b] = MustPair();
   FrameHeader header;
   header.type = static_cast<uint16_t>(FrameType::kHeartbeat);
@@ -424,9 +424,9 @@ TEST(NetFrameTest, TornHeartbeatFrameIsCorruption) {
 
 TEST(NetControlTest, ShortHeartbeatPayloadIsCorruption) {
   HeartbeatMsg msg;
-  std::vector<uint8_t> encoded = EncodeHeartbeat(msg);
+  std::vector<uint8_t> encoded = Encode(msg);
   encoded.resize(encoded.size() - 3);
-  auto decoded = DecodeHeartbeat(encoded);
+  auto decoded = Decode<HeartbeatMsg>(encoded);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -434,7 +434,7 @@ TEST(NetControlTest, ShortHeartbeatPayloadIsCorruption) {
 TEST(NetControlTest, ClockSyncPayloadsRoundTrip) {
   ClockPingMsg ping;
   ping.seq = 3;
-  auto ping_decoded = DecodeClockPing(EncodeClockPing(ping));
+  auto ping_decoded = Decode<ClockPingMsg>(Encode(ping));
   ASSERT_TRUE(ping_decoded.ok()) << ping_decoded.status().ToString();
   EXPECT_EQ(ping_decoded->seq, ping.seq);
 
@@ -442,7 +442,7 @@ TEST(NetControlTest, ClockSyncPayloadsRoundTrip) {
   pong.seq = 3;
   pong.t1 = 1000;
   pong.t2 = 1800;
-  auto pong_decoded = DecodeClockPong(EncodeClockPong(pong));
+  auto pong_decoded = Decode<ClockPongMsg>(Encode(pong));
   ASSERT_TRUE(pong_decoded.ok()) << pong_decoded.status().ToString();
   EXPECT_EQ(pong_decoded->seq, pong.seq);
   EXPECT_EQ(pong_decoded->t1, pong.t1);
@@ -451,7 +451,7 @@ TEST(NetControlTest, ClockSyncPayloadsRoundTrip) {
   ClockOffsetMsg offset;
   offset.offset_us = -4200;
   offset.uncertainty_us = 37;
-  auto offset_decoded = DecodeClockOffset(EncodeClockOffset(offset));
+  auto offset_decoded = Decode<ClockOffsetMsg>(Encode(offset));
   ASSERT_TRUE(offset_decoded.ok()) << offset_decoded.status().ToString();
   EXPECT_EQ(offset_decoded->offset_us, offset.offset_us);
   EXPECT_EQ(offset_decoded->uncertainty_us, offset.uncertainty_us);
@@ -475,7 +475,7 @@ TEST(NetControlTest, WorkerStatsRoundTripsHealthPlaneFields) {
   link.first_send_us = 111;
   link.last_recv_us = 999;
   msg.round_link_stats.push_back(link);
-  auto decoded = DecodeWorkerStats(EncodeWorkerStats(msg));
+  auto decoded = Decode<WorkerStatsMsg>(Encode(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->heartbeats_sent, msg.heartbeats_sent);
   EXPECT_EQ(decoded->clock_synced, msg.clock_synced);
@@ -503,7 +503,7 @@ TEST(NetControlTest, PlacementCarriesHealthPlaneKnobs) {
   msg.stall_proc = 1;
   msg.stall_iteration = 2;
   msg.stall_ms = 300;
-  auto decoded = DecodePlacement(EncodePlacement(msg));
+  auto decoded = Decode<PlacementMsg>(Encode(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->heartbeat_period_ms, msg.heartbeat_period_ms);
   EXPECT_EQ(decoded->clock_sync_pings, msg.clock_sync_pings);
@@ -536,11 +536,142 @@ TEST(NetTransportTest, ClockSyncAgreesAcrossASocketpair) {
 TEST(NetControlTest, TruncatedControlPayloadIsCorruption) {
   WorkerStatsMsg msg;
   msg.link_bytes = {1, 2, 3, 4};
-  std::vector<uint8_t> encoded = EncodeWorkerStats(msg);
+  std::vector<uint8_t> encoded = Encode(msg);
   encoded.resize(encoded.size() / 2);
-  auto decoded = DecodeWorkerStats(encoded);
+  auto decoded = Decode<WorkerStatsMsg>(encoded);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+// The placement's exact bytes: fields in declaration order at their own
+// widths, no padding, each fault plan as 13 bytes (u32 machine, i32
+// iteration, u8 stage, u32 after_tasks).
+TEST(NetControlTest, PlacementBytesArePinned) {
+  PlacementMsg msg;
+  msg.num_machines = 4;
+  msg.num_partitions = 1;
+  msg.replication = 2;
+  msg.fault_tolerant = 1;
+  msg.replicas = {3, 1};
+  msg.faults = {{2, 1, runtime::RuntimeStage::kCombine, 3},
+                {1, -1, runtime::RuntimeStage::kTransfer, 0x0A0B0C0Du}};
+  msg.heartbeat_period_ms = 50;
+  msg.clock_sync_pings = 8;
+  msg.stall_iteration = 2;
+  msg.stall_ms = 300;
+  const std::vector<uint8_t> expected = Bytes({
+      4, 0, 0, 0,                                         // num_machines
+      1, 0, 0, 0,                                         // num_partitions
+      2, 0, 0, 0,                                         // replication
+      1,                                                  // fault_tolerant
+      2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0,                 // replicas
+      2, 0, 0, 0,                                         // fault count
+      2, 0, 0, 0, 1, 0, 0, 0, 1, 3, 0, 0, 0,              // plan 0
+      1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 13, 12, 11, 10,  // plan 1
+      50, 0, 0, 0,                                        // heartbeat_period_ms
+      8, 0, 0, 0,                                         // clock_sync_pings
+      0xFF, 0xFF, 0xFF, 0xFF,                             // stall_proc
+      2, 0, 0, 0,                                         // stall_iteration
+      0x2C, 1, 0, 0,                                      // stall_ms
+  });
+  EXPECT_EQ(Encode(msg), expected);
+  auto decoded = Decode<PlacementMsg>(expected);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(Encode(*decoded), expected);
+}
+
+// A hostile fault count is refused against the bytes left, before the
+// decoder sizes a vector for it.
+TEST(NetControlTest, PlacementWithHugeFaultCountIsCorruption) {
+  PlacementMsg msg;
+  msg.replicas = {3, 1};
+  std::vector<uint8_t> encoded = Encode(msg);
+  const size_t fault_count_at = 13 + 4 + 2 * sizeof(MachineId);
+  std::memset(encoded.data() + fault_count_at, 0xFF, sizeof(uint32_t));
+  auto decoded = Decode<PlacementMsg>(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+template <typename Msg>
+Status DecodeWithTrailingByte(const Msg& msg) {
+  std::vector<uint8_t> encoded = Encode(msg);
+  encoded.push_back(0);
+  return Decode<Msg>(encoded).status();
+}
+
+TEST(NetControlTest, TrailingByteIsCorruption) {
+  HeartbeatMsg heartbeat;
+  heartbeat.proc = 1;
+  EXPECT_EQ(DecodeWithTrailingByte(heartbeat).code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeWithTrailingByte(WellFormedRound(RoundKind::kTransfer))
+                .code(),
+            StatusCode::kCorruption);
+  WorkerStatsMsg stats;
+  stats.link_bytes = {1, 2, 3, 4};
+  EXPECT_EQ(DecodeWithTrailingByte(stats).code(), StatusCode::kCorruption);
+}
+
+/// A transfer-round report of partition 2 run by machine 1, which process 1
+/// of 2 hosts, checked against WellFormedRound (3 partitions, 3 machines,
+/// iteration 0).
+TaskDoneMsg WellFormedTaskDone() {
+  TaskDoneMsg task;
+  task.partition = 2;
+  task.machine = 1;
+  task.iteration = 0;
+  task.kind = static_cast<uint8_t>(RoundKind::kTransfer);
+  return task;
+}
+
+Status ValidateFromProcOne(const TaskDoneMsg& task) {
+  auto decoded = Decode<TaskDoneMsg>(Encode(task));
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  return ValidateTaskDone(*decoded, WellFormedRound(RoundKind::kTransfer),
+                          /*proc=*/1, /*num_processes=*/2,
+                          /*num_partitions=*/3, /*num_machines=*/3);
+}
+
+TEST(NetControlTest, ValidTaskDoneIsAccepted) {
+  const Status status = ValidateFromProcOne(WellFormedTaskDone());
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(NetControlTest, TaskDonePartitionOutOfRangeIsCorruption) {
+  TaskDoneMsg task = WellFormedTaskDone();
+  task.partition = 3;
+  const Status status = ValidateFromProcOne(task);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(NetControlTest, TaskDoneMachineOutOfRangeIsCorruption) {
+  TaskDoneMsg task = WellFormedTaskDone();
+  task.machine = 3;  // 3 % 2 == 1, but there is no machine 3
+  const Status status = ValidateFromProcOne(task);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(NetControlTest, TaskDoneMachineHostedElsewhereIsCorruption) {
+  TaskDoneMsg task = WellFormedTaskDone();
+  task.machine = 2;  // hosted by process 0
+  const Status status = ValidateFromProcOne(task);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(NetControlTest, TaskDoneOfAnotherKindIsCorruption) {
+  TaskDoneMsg task = WellFormedTaskDone();
+  task.kind = static_cast<uint8_t>(RoundKind::kCombine);
+  const Status status = ValidateFromProcOne(task);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(NetControlTest, TaskDoneOfAnotherIterationIsCorruption) {
+  TaskDoneMsg task = WellFormedTaskDone();
+  task.iteration = 1;
+  const Status status = ValidateFromProcOne(task);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
 }  // namespace

@@ -163,26 +163,6 @@ TEST(BspBarrierTest, PollCallbackRunsWhileWaiting) {
   EXPECT_GE(polls.load(), 3u);
 }
 
-TEST(BspBarrierTest, DefectReleasesCurrentGeneration) {
-  // Two of three participants arrive; the third defects (worker death) and
-  // the generation must complete for the two waiters.
-  BspBarrier barrier(3);
-  std::thread a([&] { barrier.ArriveAndWait(); });
-  std::thread b([&] { barrier.ArriveAndWait(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(barrier.generation(), 0u);
-  barrier.Defect();
-  a.join();
-  b.join();
-  EXPECT_EQ(barrier.generation(), 1u);
-  EXPECT_EQ(barrier.participants(), 2u);
-  // The barrier stays usable at the reduced membership.
-  std::thread c([&] { barrier.ArriveAndWait(); });
-  barrier.ArriveAndWait();
-  c.join();
-  EXPECT_EQ(barrier.generation(), 2u);
-}
-
 // -------------------------------------------------------- channel plan
 
 TEST(ChannelPlanTest, UniformTopologyGetsUniformCapacities) {

@@ -378,14 +378,27 @@ TEST(RuntimeTest, TelemetryEnabledRunStaysBitIdentical) {
       executor.telemetry()->Snapshot();
   EXPECT_FALSE(snapshot.empty());
   bool saw_pool_series = false;
+  bool saw_sent_series = false;
   for (const obs::TelemetrySeries& series : snapshot) {
     if (series.name == "rt_pool_free_buffers") {
       saw_pool_series = true;
       EXPECT_EQ(series.samples_taken,
                 series.samples.size() + series.samples_dropped);
     }
+    if (series.name == "rt_sent_wire_bytes.total") {
+      // Cumulative bytes handed to channels: never falls, and the stop-edge
+      // sample sees every batch of the run.
+      saw_sent_series = true;
+      ASSERT_FALSE(series.samples.empty());
+      for (size_t i = 1; i < series.samples.size(); ++i) {
+        EXPECT_GE(series.samples[i].value, series.samples[i - 1].value);
+      }
+      EXPECT_EQ(series.samples.back().value,
+                static_cast<double>(stats.wire_payload_bytes));
+    }
   }
   EXPECT_TRUE(saw_pool_series);
+  EXPECT_TRUE(saw_sent_series);
 
   // The memory probe populated the end-of-run stats (Linux CI hosts).
   EXPECT_GT(stats.rss_bytes, 0u);

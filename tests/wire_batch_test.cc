@@ -351,7 +351,8 @@ TEST(MachineHostTest, BatchForMachineNotHostedIsCorruption) {
                                      .fault = &fault,
                                      .pool = &pool,
                                      .table = &table,
-                                     .num_machines = 4};
+                                     .num_machines = 4,
+                                     .origin = {}};
   MachineHost<SumApp> even(env, /*first=*/0, /*stride=*/2);  // {0, 2}
   MachineHost<SumApp> odd(env, /*first=*/1, /*stride=*/2);   // {1, 3}
 
